@@ -77,6 +77,29 @@ impl ObservationNoise {
             idle_jitter: 0,
         }
     }
+
+    /// Whether any noise is configured.
+    fn is_active(&self) -> bool {
+        self.queue_misread_prob > 0.0 || self.idle_jitter > 0
+    }
+
+    /// The corrupted view of `obs`, drawn from the noise stream.
+    fn corrupt(&self, obs: Observation, rng: &mut StdRng) -> Observation {
+        let mut out = obs;
+        if self.queue_misread_prob > 0.0 && uniform(rng) < self.queue_misread_prob {
+            let up = uniform(rng) < 0.5;
+            out.queue_len = if up {
+                out.queue_len + 1
+            } else {
+                out.queue_len.saturating_sub(1)
+            };
+        }
+        if self.idle_jitter > 0 {
+            let j = (uniform(rng) * (2 * self.idle_jitter + 1) as f64) as u64;
+            out.idle_slices = (out.idle_slices + j).saturating_sub(self.idle_jitter);
+        }
+        out
+    }
 }
 
 impl Default for ObservationNoise {
@@ -126,78 +149,113 @@ impl Default for SimConfig {
     }
 }
 
-/// Discrete-time DPM simulator: drives a [`PowerManager`] against a device,
-/// queue and workload under the exact step semantics shared with the MDP
-/// builder (`DESIGN.md` §3).
-///
-/// Per slice, in order: PM decides; command takes effect; arrivals enqueue;
-/// service completes (geometric); energy and performance are accounted;
-/// transition countdowns advance; the PM receives the outcome.
-///
-/// # Example
-///
-/// ```
-/// use qdpm_core::{QDpmAgent, QDpmConfig};
-/// use qdpm_device::presets;
-/// use qdpm_sim::{SimConfig, Simulator};
-/// use qdpm_workload::WorkloadSpec;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let power = presets::three_state_generic();
-/// let agent = QDpmAgent::new(&power, QDpmConfig::default())?;
-/// let mut sim = Simulator::new(
-///     power.clone(),
-///     presets::default_service(),
-///     WorkloadSpec::bernoulli(0.05)?.build(),
-///     Box::new(agent),
-///     SimConfig::default(),
-/// )?;
-/// let stats = sim.run(10_000);
-/// assert_eq!(stats.steps, 10_000);
-/// # Ok(())
-/// # }
-/// ```
+/// The decide/observe interface a [`SliceKernel`] drives, with the
+/// device's index in its population threaded through so a batched learner
+/// can address its table stripe. Every boxed [`PowerManager`] is one
+/// (single-device populations ignore the index).
+pub(crate) trait BatchPolicy {
+    /// Drops anything carried over from `device`'s previous slice: called
+    /// before a loop switches to another device, and when a crash reboot
+    /// changes what the device looks like between two slices.
+    fn reset_carry(&mut self, _device: usize) {}
+
+    /// Chooses the command for `device`'s current slice.
+    fn decide(&mut self, device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId;
+
+    /// Receives the outcome of `device`'s slice (paired with the
+    /// immediately preceding `decide` for the same device).
+    fn observe(&mut self, device: usize, outcome: &StepOutcome, next_obs: &Observation);
+}
+
+impl BatchPolicy for Box<dyn PowerManager> {
+    #[inline]
+    fn decide(&mut self, _device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId {
+        PowerManager::decide(self.as_mut(), obs, rng)
+    }
+
+    #[inline]
+    fn observe(&mut self, _device: usize, outcome: &StepOutcome, next_obs: &Observation) {
+        PowerManager::observe(self.as_mut(), outcome, next_obs);
+    }
+}
+
+/// Observation noise as a policy adapter: the wrapped manager sees the
+/// corrupted view, and each slice's noisy `next_obs` is carried into the
+/// next `decide` so the TD next-state and the state acted from agree
+/// (noise is drawn once per slice boundary).
+struct NoisyView<'a, P> {
+    inner: &'a mut P,
+    noise: ObservationNoise,
+    rng: &'a mut StdRng,
+    carried: &'a mut Option<Observation>,
+}
+
+impl<P: BatchPolicy> BatchPolicy for NoisyView<'_, P> {
+    fn reset_carry(&mut self, device: usize) {
+        *self.carried = None;
+        self.inner.reset_carry(device);
+    }
+
+    fn decide(&mut self, device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId {
+        let seen = match self.carried.take() {
+            Some(o) => o,
+            None => self.noise.corrupt(*obs, self.rng),
+        };
+        self.inner.decide(device, &seen, rng)
+    }
+
+    fn observe(&mut self, device: usize, outcome: &StepOutcome, next_obs: &Observation) {
+        let seen = self.noise.corrupt(*next_obs, self.rng);
+        self.inner.observe(device, outcome, &seen);
+        *self.carried = Some(seen);
+    }
+}
+
+/// Where a [`SliceKernel`]'s arrivals come from.
+pub(crate) trait ArrivalSource {
+    /// The arrival count of slice `now`, asked once per executed slice,
+    /// after the decision.
+    fn arrivals(&mut self, now: Step) -> u32;
+
+    /// The hidden requester mode a white-box manager may see (`None`
+    /// unless exposed).
+    fn sr_mode_hint(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// What a population of kernels shares and no slice mutates: the weights
+/// the statistics fold charges, and the deadline tagging of arrivals
+/// (`None`: untagged, and every deadline field of the kernel stays inert).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SliceEnv {
+    pub(crate) weights: RewardWeights,
+    pub(crate) deadline: Option<DeadlineSpec>,
+}
+
+/// One device's slice kernel: exactly the state a slice mutates — the
+/// device and its fault window, the queue, service progress, the idle
+/// timer, the policy and service RNG streams, the statistics, the fault
+/// schedule cursor and the deadline ledger. [`Simulator`] steps one kernel
+/// against its live workload; a batched cohort
+/// ([`crate::fleet_batch::CohortSim`]) steps a `Vec` of them against
+/// dispatched event rows. Both go through the one [`SliceKernel::step`].
 #[derive(Debug)]
-pub struct Simulator {
+pub(crate) struct SliceKernel {
     device: Device,
     queue: Queue,
     server: Server,
-    generator: Box<dyn RequestGenerator>,
-    pm: Box<dyn PowerManager>,
-    weights: RewardWeights,
-    expose_sr_mode: bool,
-    noise: ObservationNoise,
-    rng_workload: StdRng,
     rng_policy: StdRng,
     rng_service: StdRng,
-    rng_noise: StdRng,
     now: Step,
     idle_slices: u64,
     stats: RunStats,
-    recorder: Option<SeriesRecorder>,
-    mode: EngineMode,
-    /// Workload prefetch of the event-skipping engine; per-slice stepping
-    /// drains it before touching the live generator again.
-    pending_gap: Option<PendingGap>,
-    /// The noisy observation handed to the PM as `next_obs` at the end of
-    /// the previous slice, carried over so the next `decide` sees the
-    /// *same* corrupted view (noise is drawn once per slice boundary).
-    carried_obs: Option<Observation>,
-    /// Arrivals injected from outside ([`Simulator::inject_arrivals`]),
-    /// consumed — on top of the workload's own arrivals — by the next
-    /// executed slice. The online fleet dispatcher routes aggregate
-    /// arrivals through this door.
-    injected: u32,
-    /// Slice-sorted fault schedule ([`Simulator::set_fault_schedule`]);
-    /// empty for fault-free runs.
+    /// Slice-sorted fault schedule; empty for fault-free runs.
     faults: Vec<FaultEvent>,
     /// Next unconsumed entry of `faults`.
     fault_pos: usize,
     /// Availability accounting the fault clock maintains.
     fault_stats: FaultStats,
-    /// Deadline tagging configuration (`None`: untagged workload, and all
-    /// deadline machinery below stays inert).
-    deadline: Option<DeadlineSpec>,
     /// Absolute deadlines of the waiting requests, parallel to the queue
     /// (front = oldest). Kept beside the queue rather than inside it so the
     /// untagged hot path and the queue's own codec stay untouched.
@@ -206,197 +264,71 @@ pub struct Simulator {
     /// stream position. Only advances on arrival slices, which both engine
     /// modes execute per-slice — the determinism anchor.
     deadline_counter: u64,
-    /// Seed of the deadline side stream (derived from the master seed,
-    /// distinct from the four `StdRng` streams).
+    /// Seed of the deadline side stream (derived from the device seed,
+    /// distinct from the `StdRng` streams).
     deadline_seed: u64,
     /// The met/missed/slack ledger.
     deadline_stats: DeadlineStats,
 }
 
-impl Simulator {
-    /// Assembles a simulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the queue capacity is zero.
-    pub fn new(
+impl SliceKernel {
+    /// A fresh kernel whose policy, service and deadline streams derive
+    /// from the device seed `seed`.
+    pub(crate) fn new(
         power: PowerModel,
         service: ServiceModel,
-        generator: Box<dyn RequestGenerator>,
-        pm: Box<dyn PowerManager>,
-        config: SimConfig,
+        queue_cap: usize,
+        seed: u64,
     ) -> Result<Self, SimError> {
-        let queue = Queue::new(config.queue_cap)?;
-        Ok(Simulator {
+        Ok(SliceKernel {
             device: Device::new(power),
-            queue,
+            queue: Queue::new(queue_cap)?,
             server: Server::new(service),
-            generator,
-            pm,
-            weights: config.weights,
-            expose_sr_mode: config.expose_sr_mode,
-            noise: config.noise,
-            rng_workload: StdRng::seed_from_u64(config.seed),
-            rng_policy: StdRng::seed_from_u64(config.seed.wrapping_add(0x9e37_79b9)),
-            rng_service: StdRng::seed_from_u64(config.seed.wrapping_add(0x3c6e_f372)),
-            rng_noise: StdRng::seed_from_u64(config.seed.wrapping_add(0x1446_14e5)),
+            rng_policy: StdRng::seed_from_u64(seed.wrapping_add(0x9e37_79b9)),
+            rng_service: StdRng::seed_from_u64(seed.wrapping_add(0x3c6e_f372)),
             now: 0,
             idle_slices: 0,
             stats: RunStats::new(),
-            recorder: None,
-            mode: config.mode,
-            pending_gap: None,
-            carried_obs: None,
-            injected: 0,
             faults: Vec::new(),
             fault_pos: 0,
             fault_stats: FaultStats::default(),
-            deadline: config.deadline,
             deadlines: VecDeque::new(),
             deadline_counter: 0,
-            deadline_seed: config.seed.wrapping_add(0x94d0_49bb),
+            deadline_seed: seed.wrapping_add(0x94d0_49bb),
             deadline_stats: DeadlineStats::default(),
         })
     }
 
-    /// Attaches a windowed series recorder (Fig. 1/2 curves). The always-on
-    /// reference is the device's highest-power state.
-    pub fn attach_recorder(&mut self, window: Step) {
-        let p_on = self
-            .device
-            .model()
-            .state(self.device.model().highest_power_state())
-            .power;
-        self.recorder = Some(SeriesRecorder::new(window, p_on));
-    }
-
-    /// Takes the recorded series, flushing a partial window.
-    #[must_use]
-    pub fn take_series(&mut self) -> Vec<WindowPoint> {
-        self.recorder
-            .take()
-            .map(SeriesRecorder::finish)
-            .unwrap_or_default()
-    }
-
-    /// Current slice index.
-    #[must_use]
-    pub fn now(&self) -> Step {
-        self.now
-    }
-
-    /// The engine mode `run` advances time under (fixed at construction).
-    #[must_use]
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Statistics accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// Read access to the power manager.
-    #[must_use]
-    pub fn pm(&self) -> &dyn PowerManager {
-        self.pm.as_ref()
-    }
-
-    /// Mutable access to the power manager (e.g. to freeze exploration).
-    #[must_use]
-    pub fn pm_mut(&mut self) -> &mut dyn PowerManager {
-        self.pm.as_mut()
-    }
-
-    /// The true (noise-free) observation at the start of the current slice.
-    #[must_use]
-    pub fn observation(&self) -> Observation {
+    /// The true observation at the start of the current slice.
+    #[inline]
+    fn observation(&self, sr_mode_hint: Option<usize>) -> Observation {
         Observation {
             device_mode: self.device.mode(),
             queue_len: self.queue.len(),
             idle_slices: self.idle_slices,
-            sr_mode_hint: self.expose_sr_mode.then(|| self.generator.mode()),
+            sr_mode_hint,
         }
     }
 
-    /// Whether any observation noise is configured. The noise parameters
-    /// are fixed at construction, so this predicate is loop-invariant and
-    /// `run` dispatches on it once instead of once per slice.
-    #[inline]
-    fn has_noise(&self) -> bool {
-        self.noise.queue_misread_prob > 0.0 || self.noise.idle_jitter > 0
+    pub(crate) fn mode(&self) -> DeviceMode {
+        self.device.mode()
     }
 
-    /// This slice's arrival count: drains the event-skip prefetch buffer
-    /// first (in per-slice mode the buffer is always empty and this is a
-    /// single predictable branch), then the live generator — plus any
-    /// externally injected arrivals ([`Simulator::inject_arrivals`]),
-    /// which ride on top of the workload's own stream without touching it.
-    #[inline]
-    fn slice_arrivals(&mut self) -> u32 {
-        let own = match self.pending_gap {
-            None => self.generator.next_arrivals(&mut self.rng_workload),
-            Some(mut gap) => {
-                if gap.empty_left > 0 {
-                    gap.empty_left -= 1;
-                    self.pending_gap = if gap.empty_left == 0 && gap.arrival.is_none() {
-                        None
-                    } else {
-                        Some(gap)
-                    };
-                    0
-                } else if let Some(count) = gap.arrival {
-                    self.pending_gap = None;
-                    count
-                } else {
-                    // Fully drained quiet prefetch: back to the live
-                    // generator.
-                    self.pending_gap = None;
-                    self.generator.next_arrivals(&mut self.rng_workload)
-                }
-            }
-        };
-        own + std::mem::take(&mut self.injected)
+    pub(crate) fn stats(&self) -> &RunStats {
+        &self.stats
     }
 
-    /// Queues `count` externally dispatched arrivals for the *next executed
-    /// slice*, on top of whatever the simulator's own workload emits there.
-    ///
-    /// This is the online-dispatch door: a fleet coordinator routes each
-    /// aggregate arrival against live device state and injects it into the
-    /// chosen member just before stepping that member's arrival slice. The
-    /// injection is deterministic — it changes no RNG stream — and both
-    /// engine modes honour it ([`Simulator::run`] under
-    /// [`EngineMode::EventSkip`] refuses to fast-forward past pending
-    /// injected arrivals).
-    pub fn inject_arrivals(&mut self, count: u32) {
-        self.injected += count;
+    pub(crate) fn fault_stats(&self) -> &FaultStats {
+        &self.fault_stats
     }
 
-    /// Moves the device into `state` (cancelling any in-flight transition)
-    /// without touching queue, clock, statistics or RNG streams. Intended
-    /// before the first slice — e.g. a power-capped rack cold-boots its
-    /// members in their lowest-power state so the cap holds from slice 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range for the device's power model.
-    pub fn reset_device_to(&mut self, state: PowerStateId) {
-        self.device.reset_to(state);
+    pub(crate) fn deadline_stats(&self) -> &DeadlineStats {
+        &self.deadline_stats
     }
 
-    /// Installs the slice-sorted fault schedule this simulator will replay
-    /// (see `qdpm_workload::FaultInjector::plan`). The schedule is part of
-    /// the run's deterministic plan: injection consults only the simulation
-    /// clock, never thread timing or live state, so fault-injected runs
-    /// stay bit-exact across engine modes and thread counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the clock has advanced or if `events` is not
-    /// sorted by slice.
-    pub fn set_fault_schedule(&mut self, events: Vec<FaultEvent>) {
+    /// Installs the slice-sorted fault schedule (see
+    /// [`Simulator::set_fault_schedule`]).
+    pub(crate) fn set_fault_schedule(&mut self, events: Vec<FaultEvent>) {
         assert_eq!(
             self.now, 0,
             "fault schedules must be installed before the run starts"
@@ -409,85 +341,13 @@ impl Simulator {
         self.fault_pos = 0;
     }
 
-    /// The device's current health, normalized against the clock (an
-    /// expired fault window the lazy fault clock has not cleared yet reads
-    /// healthy).
-    #[must_use]
-    pub fn health(&self) -> DeviceHealth {
-        match self.device.fault() {
-            FaultState::Healthy => DeviceHealth::Healthy,
-            FaultState::Degraded { until, .. } => {
-                if self.now < until {
-                    DeviceHealth::Degraded
-                } else {
-                    DeviceHealth::Healthy
-                }
-            }
-            FaultState::Down { until, .. } => {
-                if self.now < until {
-                    DeviceHealth::Down
-                } else {
-                    DeviceHealth::Healthy
-                }
-            }
-        }
-    }
-
-    /// Whether a fault window has expired but the lazy fault clock has not
-    /// applied the revival reset yet. In this gap [`Simulator::health`]
-    /// already reads healthy while [`Simulator::observation`] still shows
-    /// the stale pre-crash device mode; the device's true post-revival
-    /// state is its lowest power state. A capped rack's budget refresh
-    /// must bound such a member at its floor, not at the stale mode's
-    /// demand.
-    #[must_use]
-    pub fn pending_revival(&self) -> bool {
-        matches!(self.device.fault(), FaultState::Down { until, .. } if self.now >= until)
-    }
-
-    /// The fault-specified slice draw while the device is down
-    /// (normalized like [`Simulator::health`]), `None` otherwise. A capped
-    /// rack reclaims the rest of the member's nominal budget from this.
-    #[must_use]
-    pub fn fault_down_power(&self) -> Option<f64> {
-        if self.health() == DeviceHealth::Down {
-            self.device.fault_down_power()
-        } else {
-            None
-        }
-    }
-
-    /// Availability accounting maintained by the fault clock.
-    #[must_use]
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.fault_stats
-    }
-
-    /// The deadline ledger (all zeros when the workload is untagged).
-    ///
-    /// Conservation invariant (asserted by the chaos suite): at every
-    /// slice boundary,
-    /// `tagged == met + missed + dropped + requeued + lost + queue_len` —
-    /// every tagged arrival is waiting or in exactly one terminal bucket.
-    #[must_use]
-    pub fn deadline_stats(&self) -> &DeadlineStats {
-        &self.deadline_stats
-    }
-
-    /// The deadline spec arrivals are tagged with, if any.
-    #[must_use]
-    pub fn deadline_spec(&self) -> Option<DeadlineSpec> {
-        self.deadline
-    }
-
     /// Admits this slice's arrivals under queue admission control, tagging
     /// each admitted request with an absolute deadline when tagging is
-    /// enabled; returns the number rejected by a full queue. The untagged
-    /// arm is byte-identical to the pre-deadline admission loop.
+    /// enabled; returns the number rejected by a full queue.
     #[inline]
-    fn admit_arrivals(&mut self, arrivals: u32) -> u32 {
+    fn admit_arrivals(&mut self, arrivals: u32, deadline: Option<DeadlineSpec>) -> u32 {
         let mut dropped = 0u32;
-        if let Some(spec) = self.deadline {
+        if let Some(spec) = deadline {
             for _ in 0..arrivals {
                 self.deadline_stats.tagged += 1;
                 if self.queue.push(self.now) {
@@ -513,8 +373,8 @@ impl Simulator {
     /// deadline, moving the ledger; returns 1 when the deadline was
     /// missed (the `deadline_misses` contribution), 0 otherwise.
     #[inline]
-    fn settle_completion(&mut self) -> u32 {
-        if self.deadline.is_none() {
+    fn settle_completion(&mut self, deadline: Option<DeadlineSpec>) -> u32 {
+        if deadline.is_none() {
             return 0;
         }
         let dl = self
@@ -532,17 +392,12 @@ impl Simulator {
         }
     }
 
-    /// Removes every admitted-but-unserved request from the queue (and any
-    /// partial service progress), returning how many were stranded. A fleet
-    /// coordinator calls this at a crash-onset barrier to move the doomed
-    /// queue into its retry machinery *before* the onset slice executes;
-    /// the crash itself then finds an empty queue and loses nothing. The
-    /// harvested requests must be re-accounted by the caller — they are no
-    /// longer visible in this simulator's queue or stats.
-    pub fn harvest_stranded(&mut self) -> u64 {
+    /// Empties the queue and any partial service progress (see
+    /// [`Simulator::harvest_stranded`]).
+    fn harvest_stranded(&mut self, deadline: Option<DeadlineSpec>) -> u64 {
         let n = self.queue.drain_all() as u64;
         self.server.set_progress(0);
-        if self.deadline.is_some() {
+        if deadline.is_some() {
             // Harvested requests re-enter some device's arrival path and
             // are tagged again there with fresh deadlines.
             self.deadline_stats.requeued += n;
@@ -572,15 +427,20 @@ impl Simulator {
     /// whose deadline has been reached (rebooting a recovered crash into
     /// the lowest-power state), then applies any scheduled fault due now.
     /// Idempotent at a fixed `now`.
-    fn tick_fault_clock(&mut self) {
+    fn tick_fault_clock<P: BatchPolicy>(
+        &mut self,
+        policy: &mut P,
+        device: usize,
+        deadline: Option<DeadlineSpec>,
+    ) {
         match self.device.fault() {
             FaultState::Down { until, .. } if self.now >= until => {
                 // Reboot: back in the lowest-power state, no in-flight
-                // transition, and any carried noisy view is stale.
+                // transition, and any view the policy carried is stale.
                 self.device.clear_fault();
                 let lowest = self.device.model().lowest_power_state();
                 self.device.reset_to(lowest);
-                self.carried_obs = None;
+                policy.reset_carry(device);
             }
             FaultState::Degraded { until, .. } if self.now >= until => {
                 self.device.clear_fault();
@@ -601,12 +461,12 @@ impl Simulator {
                 // A down device cannot fault again.
                 continue;
             }
-            self.apply_fault(event.kind);
+            self.apply_fault(event.kind, deadline);
         }
     }
 
     /// Applies one fault to the device, moving the availability books.
-    fn apply_fault(&mut self, kind: FaultKind) {
+    fn apply_fault(&mut self, kind: FaultKind, deadline: Option<DeadlineSpec>) {
         self.fault_stats.faults_injected += 1;
         match kind {
             FaultKind::TransientCrash {
@@ -615,7 +475,7 @@ impl Simulator {
             } => {
                 let lost = self.queue.drain_all() as u64;
                 self.fault_stats.queue_lost += lost;
-                if self.deadline.is_some() {
+                if deadline.is_some() {
                     self.deadline_stats.lost += lost;
                     self.deadlines.clear();
                 }
@@ -649,9 +509,14 @@ impl Simulator {
     /// landing on the queue under normal admission control. Suspending the
     /// PM keeps every RNG stream identical across engine modes — down
     /// slices execute per-slice in both.
-    fn step_down_slice<const RECORD: bool>(&mut self, power: f64) -> StepOutcome {
-        let arrivals = self.slice_arrivals();
-        let dropped = self.admit_arrivals(arrivals);
+    fn down_slice<A: ArrivalSource>(
+        &mut self,
+        power: f64,
+        source: &mut A,
+        env: &SliceEnv,
+    ) -> StepOutcome {
+        let arrivals = source.arrivals(self.now);
+        let dropped = self.admit_arrivals(arrivals, env.deadline);
         self.idle_slices = if arrivals > 0 {
             0
         } else {
@@ -666,28 +531,421 @@ impl Simulator {
             deadline_misses: 0,
         };
         self.now += 1;
-        self.stats.record(&outcome, &self.weights, 0);
+        self.stats.record(&outcome, &env.weights, 0);
         self.fault_stats.downtime_slices += 1;
-        if RECORD {
-            if let Some(rec) = &mut self.recorder {
-                rec.record(&outcome, &self.weights);
-            }
-        }
         outcome
     }
 
-    /// The fault-aware slice: ticks the fault clock, short-circuits down
-    /// slices, and otherwise runs the ordinary specialized body. For
-    /// fault-free runs this is one predictable extra branch per slice.
+    /// Executes one slice: ticks the fault clock (short-circuiting down
+    /// slices), then decide → command → admit → tick → serve → settle →
+    /// account → observe.
     #[inline]
-    fn step_slice<const NOISY: bool, const RECORD: bool>(&mut self) -> StepOutcome {
+    pub(crate) fn step<P: BatchPolicy, A: ArrivalSource>(
+        &mut self,
+        policy: &mut P,
+        device: usize,
+        source: &mut A,
+        env: &SliceEnv,
+    ) -> StepOutcome {
         if self.fault_clock_pending() {
-            self.tick_fault_clock();
+            self.tick_fault_clock(policy, device, env.deadline);
             if let Some(power) = self.device.fault_down_power() {
-                return self.step_down_slice::<RECORD>(power);
+                return self.down_slice(power, source, env);
             }
         }
-        self.step_impl::<NOISY, RECORD>()
+
+        // 1. Decide from the slice-opening observation.
+        let obs = self.observation(source.sr_mode_hint());
+        let command = policy.decide(device, &obs, &mut self.rng_policy);
+
+        // 2. Command takes effect; instant switches pay their energy now.
+        let cmd_energy = self.device.command(command).immediate_energy();
+
+        // 3. Arrivals.
+        let arrivals = source.arrivals(self.now);
+        let dropped = self.admit_arrivals(arrivals, env.deadline);
+        self.idle_slices = if arrivals > 0 {
+            0
+        } else {
+            self.idle_slices + 1
+        };
+
+        // 4. Device elapses the slice (residency/transition energy).
+        let tick = self.device.tick();
+
+        // 5. Service, gated by the fault axis: a straggling device takes
+        //    only every slowdown-th opportunity, and a gated (or fault-free
+        //    idle) slice draws nothing from the service stream. The serving
+        //    state's operating point scales the completion law (DVFS) —
+        //    `advance_scaled` is the identity at nominal frequency, so
+        //    models without operating points stay bit-identical.
+        let mut completed = 0u32;
+        let mut wait_of_completed = 0u64;
+        let mut deadline_misses = 0u32;
+        if tick.can_serve && !self.queue.is_empty() && self.device.service_gate() {
+            let u = uniform(&mut self.rng_service);
+            let freq = self.device.operating_freq();
+            if self.server.advance_scaled(u, freq) {
+                wait_of_completed = self
+                    .queue
+                    .pop(self.now)
+                    .expect("non-empty queue pops successfully");
+                completed = 1;
+                deadline_misses = self.settle_completion(env.deadline);
+            }
+        }
+
+        // 6. Accounting and feedback.
+        let outcome = StepOutcome {
+            energy: cmd_energy + tick.energy,
+            queue_len: self.queue.len(),
+            dropped,
+            completed,
+            arrivals,
+            deadline_misses,
+        };
+        self.now += 1;
+        self.stats.record(&outcome, &env.weights, wait_of_completed);
+        let next_obs = self.observation(source.sr_mode_hint());
+        policy.observe(device, &outcome, &next_obs);
+        outcome
+    }
+}
+
+/// The single-device arrival source: the simulator's own workload
+/// generator, drained through the event-skip prefetch first, plus
+/// arrivals injected from outside.
+#[derive(Debug)]
+struct LiveWorkload {
+    generator: Box<dyn RequestGenerator>,
+    rng: StdRng,
+    expose_sr_mode: bool,
+    /// Workload prefetch of the event-skipping engine; per-slice stepping
+    /// drains it before touching the live generator again.
+    pending_gap: Option<PendingGap>,
+    /// Arrivals injected from outside ([`Simulator::inject_arrivals`]),
+    /// consumed — on top of the workload's own arrivals — by the next
+    /// executed slice. The online fleet dispatcher routes aggregate
+    /// arrivals through this door.
+    injected: u32,
+}
+
+impl LiveWorkload {
+    /// Makes sure the gap to the next arrival is prefetched (drawing from
+    /// the workload when nothing is buffered; the prefetch window is
+    /// `limit` slices) and returns how many arrival-free slices lie ahead.
+    fn ensure_gap(&mut self, limit: u64) -> u64 {
+        if self.pending_gap.is_none() {
+            let gap = self.generator.next_arrival_gap(&mut self.rng, limit);
+            self.pending_gap = Some(match gap {
+                ArrivalGap::Arrival { empty, count } => PendingGap {
+                    empty_left: empty,
+                    arrival: Some(count),
+                },
+                ArrivalGap::Quiet { advanced } => PendingGap {
+                    empty_left: advanced,
+                    arrival: None,
+                },
+            });
+        }
+        self.pending_gap.map_or(0, |g| g.empty_left)
+    }
+}
+
+impl ArrivalSource for LiveWorkload {
+    /// Drains the event-skip prefetch buffer first (in per-slice mode the
+    /// buffer is always empty and this is a single predictable branch),
+    /// then the live generator — plus any injected arrivals, which ride on
+    /// top of the workload's own stream without touching it.
+    #[inline]
+    fn arrivals(&mut self, _now: Step) -> u32 {
+        let own = match self.pending_gap {
+            None => self.generator.next_arrivals(&mut self.rng),
+            Some(mut gap) => {
+                if gap.empty_left > 0 {
+                    gap.empty_left -= 1;
+                    self.pending_gap = if gap.empty_left == 0 && gap.arrival.is_none() {
+                        None
+                    } else {
+                        Some(gap)
+                    };
+                    0
+                } else if let Some(count) = gap.arrival {
+                    self.pending_gap = None;
+                    count
+                } else {
+                    // Fully drained quiet prefetch: back to the live
+                    // generator.
+                    self.pending_gap = None;
+                    self.generator.next_arrivals(&mut self.rng)
+                }
+            }
+        };
+        own + std::mem::take(&mut self.injected)
+    }
+
+    #[inline]
+    fn sr_mode_hint(&self) -> Option<usize> {
+        self.expose_sr_mode.then(|| self.generator.mode())
+    }
+}
+
+/// Discrete-time DPM simulator: drives a [`PowerManager`] against a device,
+/// queue and workload under the exact step semantics shared with the MDP
+/// builder (`DESIGN.md` §3).
+///
+/// Per slice, in order: PM decides; command takes effect; arrivals enqueue;
+/// service completes (geometric); energy and performance are accounted;
+/// transition countdowns advance; the PM receives the outcome.
+///
+/// # Example
+///
+/// ```
+/// use qdpm_core::{QDpmAgent, QDpmConfig};
+/// use qdpm_device::presets;
+/// use qdpm_sim::{SimConfig, Simulator};
+/// use qdpm_workload::WorkloadSpec;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let power = presets::three_state_generic();
+/// let agent = QDpmAgent::new(&power, QDpmConfig::default())?;
+/// let mut sim = Simulator::new(
+///     power.clone(),
+///     presets::default_service(),
+///     WorkloadSpec::bernoulli(0.05)?.build(),
+///     Box::new(agent),
+///     SimConfig::default(),
+/// )?;
+/// let stats = sim.run(10_000);
+/// assert_eq!(stats.steps, 10_000);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Simulator {
+    kernel: SliceKernel,
+    workload: LiveWorkload,
+    pm: Box<dyn PowerManager>,
+    env: SliceEnv,
+    noise: ObservationNoise,
+    rng_noise: StdRng,
+    /// The noisy observation handed to the PM as `next_obs` at the end of
+    /// the previous slice, carried over so the next `decide` sees the
+    /// *same* corrupted view. Always `None` without noise.
+    carried_obs: Option<Observation>,
+    recorder: Option<SeriesRecorder>,
+    mode: EngineMode,
+}
+
+impl Simulator {
+    /// Assembles a simulator.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] when the queue capacity is zero.
+    pub fn new(
+        power: PowerModel,
+        service: ServiceModel,
+        generator: Box<dyn RequestGenerator>,
+        pm: Box<dyn PowerManager>,
+        config: SimConfig,
+    ) -> Result<Self, SimError> {
+        Ok(Simulator {
+            kernel: SliceKernel::new(power, service, config.queue_cap, config.seed)?,
+            workload: LiveWorkload {
+                generator,
+                rng: StdRng::seed_from_u64(config.seed),
+                expose_sr_mode: config.expose_sr_mode,
+                pending_gap: None,
+                injected: 0,
+            },
+            pm,
+            env: SliceEnv {
+                weights: config.weights,
+                deadline: config.deadline,
+            },
+            noise: config.noise,
+            rng_noise: StdRng::seed_from_u64(config.seed.wrapping_add(0x1446_14e5)),
+            carried_obs: None,
+            recorder: None,
+            mode: config.mode,
+        })
+    }
+
+    /// Attaches a windowed series recorder (Fig. 1/2 curves). The always-on
+    /// reference is the device's highest-power state.
+    pub fn attach_recorder(&mut self, window: Step) {
+        let model = self.kernel.device.model();
+        let p_on = model.state(model.highest_power_state()).power;
+        self.recorder = Some(SeriesRecorder::new(window, p_on));
+    }
+
+    /// Takes the recorded series, flushing a partial window.
+    #[must_use]
+    pub fn take_series(&mut self) -> Vec<WindowPoint> {
+        self.recorder
+            .take()
+            .map(SeriesRecorder::finish)
+            .unwrap_or_default()
+    }
+
+    /// Current slice index.
+    #[must_use]
+    pub fn now(&self) -> Step {
+        self.kernel.now
+    }
+
+    /// The engine mode `run` advances time under (fixed at construction).
+    #[must_use]
+    pub fn engine_mode(&self) -> EngineMode {
+        self.mode
+    }
+
+    /// Statistics accumulated so far.
+    #[must_use]
+    pub fn stats(&self) -> &RunStats {
+        &self.kernel.stats
+    }
+
+    /// Read access to the power manager.
+    #[must_use]
+    pub fn pm(&self) -> &dyn PowerManager {
+        self.pm.as_ref()
+    }
+
+    /// Mutable access to the power manager (e.g. to freeze exploration).
+    #[must_use]
+    pub fn pm_mut(&mut self) -> &mut dyn PowerManager {
+        self.pm.as_mut()
+    }
+
+    /// The true (noise-free) observation at the start of the current slice.
+    #[must_use]
+    pub fn observation(&self) -> Observation {
+        self.kernel.observation(self.workload.sr_mode_hint())
+    }
+
+    /// Queues `count` externally dispatched arrivals for the *next executed
+    /// slice*, on top of whatever the simulator's own workload emits there.
+    ///
+    /// This is the online-dispatch door: a fleet coordinator routes each
+    /// aggregate arrival against live device state and injects it into the
+    /// chosen member just before stepping that member's arrival slice. The
+    /// injection is deterministic — it changes no RNG stream — and both
+    /// engine modes honour it ([`Simulator::run`] under
+    /// [`EngineMode::EventSkip`] refuses to fast-forward past pending
+    /// injected arrivals).
+    pub fn inject_arrivals(&mut self, count: u32) {
+        self.workload.injected += count;
+    }
+
+    /// Moves the device into `state` (cancelling any in-flight transition)
+    /// without touching queue, clock, statistics or RNG streams. Intended
+    /// before the first slice — e.g. a power-capped rack cold-boots its
+    /// members in their lowest-power state so the cap holds from slice 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range for the device's power model.
+    pub fn reset_device_to(&mut self, state: PowerStateId) {
+        self.kernel.device.reset_to(state);
+    }
+
+    /// Installs the slice-sorted fault schedule this simulator will replay
+    /// (see `qdpm_workload::FaultInjector::plan`). The schedule is part of
+    /// the run's deterministic plan: injection consults only the simulation
+    /// clock, never thread timing or live state, so fault-injected runs
+    /// stay bit-exact across engine modes and thread counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after the clock has advanced or if `events` is not
+    /// sorted by slice.
+    pub fn set_fault_schedule(&mut self, events: Vec<FaultEvent>) {
+        self.kernel.set_fault_schedule(events);
+    }
+
+    /// The device's current health, normalized against the clock (an
+    /// expired fault window the lazy fault clock has not cleared yet reads
+    /// healthy).
+    #[must_use]
+    pub fn health(&self) -> DeviceHealth {
+        let now = self.kernel.now;
+        match self.kernel.device.fault() {
+            FaultState::Healthy => DeviceHealth::Healthy,
+            FaultState::Degraded { until, .. } => {
+                if now < until {
+                    DeviceHealth::Degraded
+                } else {
+                    DeviceHealth::Healthy
+                }
+            }
+            FaultState::Down { until, .. } => {
+                if now < until {
+                    DeviceHealth::Down
+                } else {
+                    DeviceHealth::Healthy
+                }
+            }
+        }
+    }
+
+    /// Whether a fault window has expired but the lazy fault clock has not
+    /// applied the revival reset yet. In this gap [`Simulator::health`]
+    /// already reads healthy while [`Simulator::observation`] still shows
+    /// the stale pre-crash device mode; the device's true post-revival
+    /// state is its lowest power state. A capped rack's budget refresh
+    /// must bound such a member at its floor, not at the stale mode's
+    /// demand.
+    #[must_use]
+    pub fn pending_revival(&self) -> bool {
+        matches!(self.kernel.device.fault(), FaultState::Down { until, .. } if self.kernel.now >= until)
+    }
+
+    /// The fault-specified slice draw while the device is down
+    /// (normalized like [`Simulator::health`]), `None` otherwise. A capped
+    /// rack reclaims the rest of the member's nominal budget from this.
+    #[must_use]
+    pub fn fault_down_power(&self) -> Option<f64> {
+        if self.health() == DeviceHealth::Down {
+            self.kernel.device.fault_down_power()
+        } else {
+            None
+        }
+    }
+
+    /// Availability accounting maintained by the fault clock.
+    #[must_use]
+    pub fn fault_stats(&self) -> &FaultStats {
+        self.kernel.fault_stats()
+    }
+
+    /// The deadline ledger (all zeros when the workload is untagged).
+    ///
+    /// Conservation invariant (asserted by the chaos suite): at every
+    /// slice boundary,
+    /// `tagged == met + missed + dropped + requeued + lost + queue_len` —
+    /// every tagged arrival is waiting or in exactly one terminal bucket.
+    #[must_use]
+    pub fn deadline_stats(&self) -> &DeadlineStats {
+        self.kernel.deadline_stats()
+    }
+
+    /// The deadline spec arrivals are tagged with, if any.
+    #[must_use]
+    pub fn deadline_spec(&self) -> Option<DeadlineSpec> {
+        self.env.deadline
+    }
+
+    /// Removes every admitted-but-unserved request from the queue (and any
+    /// partial service progress), returning how many were stranded. A fleet
+    /// coordinator calls this at a crash-onset barrier to move the doomed
+    /// queue into its retry machinery *before* the onset slice executes;
+    /// the crash itself then finds an empty queue and loses nothing. The
+    /// harvested requests must be re-accounted by the caller — they are no
+    /// longer visible in this simulator's queue or stats.
+    pub fn harvest_stranded(&mut self) -> u64 {
+        self.kernel.harvest_stranded(self.env.deadline)
     }
 
     /// Checkpoint support: appends the simulator's entire dynamic state —
@@ -705,39 +963,40 @@ impl Simulator {
     /// [`SeriesRecorder`] is *not* checkpointed; long-running serving does
     /// not use one.
     pub fn save_state(&self, w: &mut StateWriter) {
-        put_device_state(w, self.device.state());
-        let waiting: Vec<Step> = self.queue.arrival_times().collect();
+        let k = &self.kernel;
+        put_device_state(w, k.device.state());
+        let waiting: Vec<Step> = k.queue.arrival_times().collect();
         w.put_usize(waiting.len());
         for t in waiting {
             w.put_u64(t);
         }
-        let qs = *self.queue.stats();
+        let qs = *k.queue.stats();
         w.put_u64(qs.enqueued);
         w.put_u64(qs.dropped);
         w.put_u64(qs.dequeued);
         w.put_u64(qs.total_wait);
-        w.put_u32(self.server.progress());
+        w.put_u32(k.server.progress());
         for rng in [
-            &self.rng_workload,
-            &self.rng_policy,
-            &self.rng_service,
+            &self.workload.rng,
+            &k.rng_policy,
+            &k.rng_service,
             &self.rng_noise,
         ] {
             for word in rng.state() {
                 w.put_u64(word);
             }
         }
-        w.put_u64(self.now);
-        w.put_u64(self.idle_slices);
-        w.put_u64(self.stats.steps);
-        w.put_f64(self.stats.total_energy);
-        w.put_f64(self.stats.total_cost);
-        w.put_u64(self.stats.arrivals);
-        w.put_u64(self.stats.completed);
-        w.put_u64(self.stats.dropped);
-        w.put_f64(self.stats.queue_len_sum);
-        w.put_u64(self.stats.total_wait);
-        match self.pending_gap {
+        w.put_u64(k.now);
+        w.put_u64(k.idle_slices);
+        w.put_u64(k.stats.steps);
+        w.put_f64(k.stats.total_energy);
+        w.put_f64(k.stats.total_cost);
+        w.put_u64(k.stats.arrivals);
+        w.put_u64(k.stats.completed);
+        w.put_u64(k.stats.dropped);
+        w.put_f64(k.stats.queue_len_sum);
+        w.put_u64(k.stats.total_wait);
+        match self.workload.pending_gap {
             None => w.put_bool(false),
             Some(gap) => {
                 w.put_bool(true);
@@ -758,19 +1017,19 @@ impl Simulator {
                 put_observation(w, obs);
             }
         }
-        w.put_u32(self.injected);
-        put_fault_state(w, self.device.fault());
-        w.put_usize(self.fault_pos);
-        w.put_u64(self.fault_stats.faults_injected);
-        w.put_u64(self.fault_stats.downtime_slices);
-        w.put_u64(self.fault_stats.queue_lost);
-        w.put_usize(self.deadlines.len());
-        for &d in &self.deadlines {
+        w.put_u32(self.workload.injected);
+        put_fault_state(w, k.device.fault());
+        w.put_usize(k.fault_pos);
+        w.put_u64(k.fault_stats.faults_injected);
+        w.put_u64(k.fault_stats.downtime_slices);
+        w.put_u64(k.fault_stats.queue_lost);
+        w.put_usize(k.deadlines.len());
+        for &d in &k.deadlines {
             w.put_u64(d);
         }
-        w.put_u64(self.deadline_counter);
-        self.deadline_stats.save_state(w);
-        self.generator.save_state(w);
+        w.put_u64(k.deadline_counter);
+        k.deadline_stats.save_state(w);
+        self.workload.generator.save_state(w);
         self.pm.save_state(w);
     }
 
@@ -786,13 +1045,13 @@ impl Simulator {
     /// error the simulator may be partially restored and must be
     /// discarded, not resumed.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let n_states = self.device.model().n_states();
+        let n_states = self.kernel.device.model().n_states();
         let device = get_device_state(r, n_states)?;
         let n_waiting = r.get_usize()?;
-        if n_waiting > self.queue.capacity() {
+        if n_waiting > self.kernel.queue.capacity() {
             return Err(StateError::BadValue(format!(
                 "restored queue of {n_waiting} requests exceeds capacity {}",
-                self.queue.capacity()
+                self.kernel.queue.capacity()
             )));
         }
         let mut waiting = Vec::with_capacity(n_waiting);
@@ -846,10 +1105,10 @@ impl Simulator {
         let injected = r.get_u32()?;
         let fault = get_fault_state(r)?;
         let fault_pos = r.get_usize()?;
-        if fault_pos > self.faults.len() {
+        if fault_pos > self.kernel.faults.len() {
             return Err(StateError::BadValue(format!(
                 "restored fault cursor {fault_pos} past schedule of {} events",
-                self.faults.len()
+                self.kernel.faults.len()
             )));
         }
         let fault_stats = FaultStats {
@@ -858,16 +1117,13 @@ impl Simulator {
             queue_lost: r.get_u64()?,
         };
         let n_deadlines = r.get_usize()?;
-        let expected_deadlines = if self.deadline.is_some() {
-            n_waiting
-        } else {
-            0
-        };
+        let tagged = self.env.deadline.is_some();
+        let expected_deadlines = if tagged { n_waiting } else { 0 };
         if n_deadlines != expected_deadlines {
             return Err(StateError::BadValue(format!(
                 "restored {n_deadlines} deadlines for a queue of {n_waiting} \
                  requests (tagging {})",
-                if self.deadline.is_some() { "on" } else { "off" }
+                if tagged { "on" } else { "off" }
             )));
         }
         let mut deadlines = VecDeque::with_capacity(n_deadlines);
@@ -876,174 +1132,51 @@ impl Simulator {
         }
         let deadline_counter = r.get_u64()?;
         let deadline_stats = DeadlineStats::load_state(r)?;
-        self.device.restore_state(device);
-        self.device.set_fault(fault);
-        self.fault_pos = fault_pos;
-        self.fault_stats = fault_stats;
-        self.queue
+        let k = &mut self.kernel;
+        k.device.restore_state(device);
+        k.device.set_fault(fault);
+        k.fault_pos = fault_pos;
+        k.fault_stats = fault_stats;
+        k.queue
             .restore(&waiting, qstats)
             .map_err(|e| StateError::BadValue(e.to_string()))?;
-        self.server.set_progress(progress);
-        self.rng_workload = StdRng::from_state(rng_states[0]);
-        self.rng_policy = StdRng::from_state(rng_states[1]);
-        self.rng_service = StdRng::from_state(rng_states[2]);
+        k.server.set_progress(progress);
+        self.workload.rng = StdRng::from_state(rng_states[0]);
+        k.rng_policy = StdRng::from_state(rng_states[1]);
+        k.rng_service = StdRng::from_state(rng_states[2]);
         self.rng_noise = StdRng::from_state(rng_states[3]);
-        self.now = now;
-        self.idle_slices = idle_slices;
-        self.stats = stats;
-        self.pending_gap = pending_gap;
+        k.now = now;
+        k.idle_slices = idle_slices;
+        k.stats = stats;
+        self.workload.pending_gap = pending_gap;
         self.carried_obs = carried_obs;
-        self.injected = injected;
-        self.deadlines = deadlines;
-        self.deadline_counter = deadline_counter;
-        self.deadline_stats = deadline_stats;
-        self.generator.load_state(r)?;
+        self.workload.injected = injected;
+        k.deadlines = deadlines;
+        k.deadline_counter = deadline_counter;
+        k.deadline_stats = deadline_stats;
+        self.workload.generator.load_state(r)?;
         self.pm.load_state(r)
-    }
-
-    /// Applies observation noise for the PM's view.
-    fn noisy(&mut self, obs: Observation) -> Observation {
-        let mut out = obs;
-        if self.noise.queue_misread_prob > 0.0
-            && uniform(&mut self.rng_noise) < self.noise.queue_misread_prob
-        {
-            let up = uniform(&mut self.rng_noise) < 0.5;
-            out.queue_len = if up {
-                out.queue_len + 1
-            } else {
-                out.queue_len.saturating_sub(1)
-            };
-        }
-        if self.noise.idle_jitter > 0 {
-            let j = (uniform(&mut self.rng_noise) * (2 * self.noise.idle_jitter + 1) as f64) as u64;
-            out.idle_slices = (out.idle_slices + j).saturating_sub(self.noise.idle_jitter);
-        }
-        out
     }
 
     /// Advances the simulation by one slice and returns its outcome.
     pub fn step(&mut self) -> StepOutcome {
-        match (self.has_noise(), self.recorder.is_some()) {
-            (false, false) => self.step_slice::<false, false>(),
-            (false, true) => self.step_slice::<false, true>(),
-            (true, false) => self.step_slice::<true, false>(),
-            (true, true) => self.step_slice::<true, true>(),
-        }
-    }
-
-    /// The slice body, monomorphized over the loop-invariant configuration:
-    /// `NOISY` (observation noise configured) and `RECORD` (series recorder
-    /// attached). The clean specialization is branch- and carry-free: with
-    /// no noise, the observation reported as `next_obs` at the end of a
-    /// slice is exactly the true observation at the start of the next one
-    /// (nothing advances between the two reads), so recomputing it is
-    /// stream- and value-identical to carrying it — and the `carried_obs`
-    /// slot stays permanently `None`.
-    #[inline]
-    fn step_impl<const NOISY: bool, const RECORD: bool>(&mut self) -> StepOutcome {
-        // 1. Decide. The PM sees the possibly-noisy observation — the one
-        //    already reported as `next_obs` at the end of the previous
-        //    slice, so its TD next-state and the state it acts from agree.
-        let obs = if NOISY {
-            match self.carried_obs.take() {
-                Some(o) => o,
-                None => {
-                    let true_obs = self.observation();
-                    self.noisy(true_obs)
-                }
-            }
+        let outcome = if self.noise.is_active() {
+            let mut view = NoisyView {
+                inner: &mut self.pm,
+                noise: self.noise,
+                rng: &mut self.rng_noise,
+                carried: &mut self.carried_obs,
+            };
+            self.kernel
+                .step(&mut view, 0, &mut self.workload, &self.env)
         } else {
-            self.observation()
+            self.kernel
+                .step(&mut self.pm, 0, &mut self.workload, &self.env)
         };
-        let command = self.pm.decide(&obs, &mut self.rng_policy);
-
-        // 2. Command takes effect; instant switches pay their energy now.
-        let cmd_energy = self.device.command(command).immediate_energy();
-
-        // 3. Arrivals (served from the event-skip prefetch when present).
-        let arrivals = self.slice_arrivals();
-        let dropped = self.admit_arrivals(arrivals);
-        self.idle_slices = if arrivals > 0 {
-            0
-        } else {
-            self.idle_slices + 1
-        };
-
-        // 4. Device elapses the slice (residency/transition energy).
-        let tick = self.device.tick();
-
-        // 5. Service, gated by the fault axis: a straggling device takes
-        //    only every slowdown-th opportunity, and a gated (or fault-free
-        //    idle) slice draws nothing from the service stream. The serving
-        //    state's operating point scales the completion law (DVFS) —
-        //    `advance_scaled` is the identity at nominal frequency, so
-        //    models without operating points stay bit-identical.
-        let mut completed = 0u32;
-        let mut wait_of_completed = 0u64;
-        let mut deadline_misses = 0u32;
-        if tick.can_serve && !self.queue.is_empty() && self.device.service_gate() {
-            let u = uniform(&mut self.rng_service);
-            let freq = self.device.operating_freq();
-            if self.server.advance_scaled(u, freq) {
-                wait_of_completed = self
-                    .queue
-                    .pop(self.now)
-                    .expect("non-empty queue pops successfully");
-                completed = 1;
-                deadline_misses = self.settle_completion();
-            }
-        }
-
-        // 6. Accounting and feedback.
-        let outcome = StepOutcome {
-            energy: cmd_energy + tick.energy,
-            queue_len: self.queue.len(),
-            dropped,
-            completed,
-            arrivals,
-            deadline_misses,
-        };
-        self.now += 1;
-        self.stats
-            .record(&outcome, &self.weights, wait_of_completed);
-        if RECORD {
-            if let Some(rec) = &mut self.recorder {
-                rec.record(&outcome, &self.weights);
-            }
-        }
-        let next_obs = if NOISY {
-            let true_obs = self.observation();
-            self.noisy(true_obs)
-        } else {
-            self.observation()
-        };
-        self.pm.observe(&outcome, &next_obs);
-        if NOISY {
-            self.carried_obs = Some(next_obs);
+        if let Some(rec) = &mut self.recorder {
+            rec.record(&outcome, &self.env.weights);
         }
         outcome
-    }
-
-    /// Makes sure the gap to the next arrival is prefetched (drawing from
-    /// the workload when nothing is buffered; the prefetch window is
-    /// `limit` slices) and returns how many arrival-free slices lie ahead.
-    fn ensure_gap(&mut self, limit: u64) -> u64 {
-        if self.pending_gap.is_none() {
-            let gap = self
-                .generator
-                .next_arrival_gap(&mut self.rng_workload, limit);
-            self.pending_gap = Some(match gap {
-                ArrivalGap::Arrival { empty, count } => PendingGap {
-                    empty_left: empty,
-                    arrival: Some(count),
-                },
-                ArrivalGap::Quiet { advanced } => PendingGap {
-                    empty_left: advanced,
-                    arrival: None,
-                },
-            });
-        }
-        self.pending_gap.map_or(0, |g| g.empty_left)
     }
 
     /// The event-skipping run loop (see [`EngineMode::EventSkip`]).
@@ -1056,40 +1189,39 @@ impl Simulator {
     /// ordinary slice, so every iteration makes progress.
     fn run_event_skip(&mut self, steps: Step) -> RunStats {
         // Per-slice-only machinery configured: fall back wholesale onto
-        // the hoisted specialized loops.
-        if self.has_noise() || self.recorder.is_some() || self.expose_sr_mode {
+        // per-slice stepping.
+        if self.noise.is_active() || self.recorder.is_some() || self.workload.expose_sr_mode {
             return self.run_per_slice(steps);
         }
-        let before = self.stats.clone();
+        let before = self.kernel.stats.clone();
         let mut remaining = steps;
         while remaining > 0 {
             // An active fault window (down or degraded) or a fault due at
             // this slice pins per-slice execution: downtime and degraded
             // service are accounted slice by slice in both engine modes,
             // which keeps fault-injected runs bit-exact by construction.
-            if !self.device.fault().is_healthy() || self.fault_due() {
-                self.step_slice::<false, false>();
-                remaining -= 1;
-                continue;
-            }
-            // A non-empty queue or pending injected arrivals pin the next
-            // slice to ordinary execution — fast-forwarding would land the
-            // injection on the wrong slice.
-            if !self.queue.is_empty() || self.injected > 0 {
-                self.step_slice::<false, false>();
+            // So does a non-empty queue or pending injected arrivals —
+            // fast-forwarding would land the injection on the wrong slice.
+            if !self.kernel.device.fault().is_healthy()
+                || self.kernel.fault_due()
+                || !self.kernel.queue.is_empty()
+                || self.workload.injected > 0
+            {
+                self.step();
                 remaining -= 1;
                 continue;
             }
             // A scheduled fault bounds the commit-quiescent horizon exactly
             // like an arrival: never prefetch or commit past its onset.
-            let fault_window = self
+            let k = &mut self.kernel;
+            let fault_window = k
                 .faults
-                .get(self.fault_pos)
-                .map_or(u64::MAX, |e| e.at.saturating_sub(self.now));
+                .get(k.fault_pos)
+                .map_or(u64::MAX, |e| e.at.saturating_sub(k.now));
             let window = remaining.min(fault_window);
-            let empty_ahead = self.ensure_gap(window).min(window);
+            let empty_ahead = self.workload.ensure_gap(window).min(window);
             if empty_ahead == 0 {
-                self.step_slice::<false, false>();
+                self.step();
                 remaining -= 1;
                 continue;
             }
@@ -1097,64 +1229,58 @@ impl Simulator {
             // arm caps the window at the transition end, which is not a
             // decline).
             let mut offered = empty_ahead;
-            let committed = match self.device.mode() {
+            let obs = k.observation(None);
+            let quiet = |energy| StepOutcome {
+                energy,
+                queue_len: 0,
+                dropped: 0,
+                completed: 0,
+                arrivals: 0,
+                deadline_misses: 0,
+            };
+            let committed = match k.device.mode() {
                 DeviceMode::Operational(state) => {
-                    let per_slice = StepOutcome {
-                        energy: self.device.model().state(state).power,
-                        queue_len: 0,
-                        dropped: 0,
-                        completed: 0,
-                        arrivals: 0,
-                        deadline_misses: 0,
-                    };
-                    let obs = self.observation();
-                    let k = self
+                    let per_slice = quiet(k.device.model().state(state).power);
+                    let n = self
                         .pm
-                        .commit_quiescent(&obs, &per_slice, empty_ahead, &mut self.rng_policy)
+                        .commit_quiescent(&obs, &per_slice, empty_ahead, &mut k.rng_policy)
                         .min(empty_ahead); // never trust a manager past its window
-                    if k > 0 {
+                    if n > 0 {
                         // Residency in an operational state leaves the
                         // device untouched; only the books move.
-                        self.stats.record_quiescent(&per_slice, &self.weights, k);
+                        k.stats.record_quiescent(&per_slice, &self.env.weights, n);
                     }
-                    k
+                    n
                 }
                 DeviceMode::Transitioning {
                     remaining: left, ..
                 } => {
-                    let per_slice = StepOutcome {
-                        energy: self
-                            .device
+                    let per_slice = quiet(
+                        k.device
                             .transient_slice_energy()
                             .expect("transitioning device has an active transition"),
-                        queue_len: 0,
-                        dropped: 0,
-                        completed: 0,
-                        arrivals: 0,
-                        deadline_misses: 0,
-                    };
+                    );
                     let cap = empty_ahead.min(u64::from(left));
                     offered = cap;
-                    let obs = self.observation();
-                    let k = self
+                    let n = self
                         .pm
-                        .commit_quiescent(&obs, &per_slice, cap, &mut self.rng_policy)
+                        .commit_quiescent(&obs, &per_slice, cap, &mut k.rng_policy)
                         .min(cap); // never trust a manager past its window
                                    // The transition countdown must actually advance (and
                                    // complete when the stretch covers it).
-                    for _ in 0..k {
-                        let tick = self.device.tick();
+                    for _ in 0..n {
+                        let tick = k.device.tick();
                         debug_assert_eq!(tick.energy, per_slice.energy);
                     }
-                    if k > 0 {
-                        self.stats.record_quiescent(&per_slice, &self.weights, k);
+                    if n > 0 {
+                        k.stats.record_quiescent(&per_slice, &self.env.weights, n);
                     }
-                    k
+                    n
                 }
             };
-            self.now += committed;
-            self.idle_slices += committed;
-            if let Some(gap) = &mut self.pending_gap {
+            k.now += committed;
+            k.idle_slices += committed;
+            if let Some(gap) = &mut self.workload.pending_gap {
                 gap.empty_left -= committed;
             }
             remaining -= committed;
@@ -1164,20 +1290,17 @@ impl Simulator {
             // declined slice lies strictly inside the fault-free window
             // (committed < offered <= window), so it cannot cross an onset.
             if committed < offered && remaining > 0 {
-                self.step_slice::<false, false>();
+                self.step();
                 remaining -= 1;
             }
         }
-        diff_stats(&self.stats, &before)
+        diff_stats(&self.kernel.stats, &before)
     }
 
     /// Runs `steps` slices and returns the statistics of that stretch.
     ///
-    /// In [`EngineMode::PerSlice`] (the default) the noise/recorder
-    /// configuration is loop-invariant, so the dispatch is hoisted out of
-    /// the loop and each slice runs the already specialized body
-    /// (identical streams and outcomes to calling [`Simulator::step`] in a
-    /// loop). In [`EngineMode::EventSkip`] quiescent stretches are
+    /// In [`EngineMode::PerSlice`] (the default) this is [`Simulator::step`]
+    /// in a loop. In [`EngineMode::EventSkip`] quiescent stretches are
     /// fast-forwarded instead (see the mode's documentation for the exact
     /// equivalence contract); calling [`Simulator::step`] directly always
     /// executes a single ordinary slice in either mode.
@@ -1188,33 +1311,12 @@ impl Simulator {
         self.run_per_slice(steps)
     }
 
-    /// The per-slice run loop: dispatches once on the loop-invariant
-    /// (noise, recorder) configuration, then drives the specialized body.
     fn run_per_slice(&mut self, steps: Step) -> RunStats {
-        let before = self.stats.clone();
-        match (self.has_noise(), self.recorder.is_some()) {
-            (false, false) => {
-                for _ in 0..steps {
-                    self.step_slice::<false, false>();
-                }
-            }
-            (false, true) => {
-                for _ in 0..steps {
-                    self.step_slice::<false, true>();
-                }
-            }
-            (true, false) => {
-                for _ in 0..steps {
-                    self.step_slice::<true, false>();
-                }
-            }
-            (true, true) => {
-                for _ in 0..steps {
-                    self.step_slice::<true, true>();
-                }
-            }
+        let before = self.kernel.stats.clone();
+        for _ in 0..steps {
+            self.step();
         }
-        diff_stats(&self.stats, &before)
+        diff_stats(&self.kernel.stats, &before)
     }
 }
 
@@ -1397,7 +1499,7 @@ fn get_observation(r: &mut StateReader<'_>, n_states: usize) -> Result<Observati
 }
 
 /// Subtracts two cumulative statistics (run-stretch accounting).
-fn diff_stats(after: &RunStats, before: &RunStats) -> RunStats {
+pub(crate) fn diff_stats(after: &RunStats, before: &RunStats) -> RunStats {
     RunStats {
         steps: after.steps - before.steps,
         total_energy: after.total_energy - before.total_energy,
@@ -1622,9 +1724,9 @@ mod tests {
         }
     }
 
-    /// The hoisted specialized loops of `run` must be stream-identical to
-    /// calling `step` slice by slice, in every (noise, recorder)
-    /// configuration — stats and recorded series alike.
+    /// `run` must be stream-identical to calling `step` slice by slice,
+    /// in every (noise, recorder) configuration — stats and recorded
+    /// series alike.
     #[test]
     fn run_matches_manual_steps_in_every_configuration() {
         for (misread, jitter) in [(0.0, 0), (0.35, 2)] {

@@ -186,37 +186,20 @@ pub fn convergence_ratios_over_seeds(
     seeds: &[u64],
     tail_windows: usize,
 ) -> Result<Vec<f64>, SimError> {
-    convergence_ratios_over_seeds_threaded(power, service, params, seeds, tail_windows, 1)
-}
-
-/// [`convergence_ratios_over_seeds`] on the parallel runner: each seed's
-/// run is independent, so the returned ratios are identical at any thread
-/// count (seed order is preserved).
-///
-/// # Errors
-///
-/// Propagates construction and solver errors.
-pub fn convergence_ratios_over_seeds_threaded(
-    power: &PowerModel,
-    service: &ServiceModel,
-    params: &ConvergenceParams,
-    seeds: &[u64],
-    tail_windows: usize,
-    threads: usize,
-) -> Result<Vec<f64>, SimError> {
-    parallel::run_indexed(seeds, threads, |_, &seed| {
-        let run = ConvergenceParams {
-            seed,
-            ..params.clone()
-        };
-        let report = run_convergence(power, service, &run)?;
-        Ok(ratio_to_gain(
-            tail_mean_cost(&report.qdpm, tail_windows),
-            report.optimal_gain,
-        ))
-    })
-    .into_iter()
-    .collect()
+    seeds
+        .iter()
+        .map(|&seed| {
+            let run = ConvergenceParams {
+                seed,
+                ..params.clone()
+            };
+            let report = run_convergence(power, service, &run)?;
+            Ok(ratio_to_gain(
+                tail_mean_cost(&report.qdpm, tail_windows),
+                report.optimal_gain,
+            ))
+        })
+        .collect()
 }
 
 /// Mean and sample standard deviation of a ratio collection.
@@ -638,8 +621,8 @@ pub struct SweepRow {
     pub qdpm_cost: f64,
     /// Ratio `qdpm_cost / optimal_gain` (1.0 = optimal). `NaN` is the
     /// documented sentinel for a missing or degenerate (non-positive)
-    /// reference gain — see [`ratio_to_gain`]; aggregate with
-    /// [`sweep_ratio_summary`], which skips it.
+    /// reference gain; aggregate with [`sweep_ratio_summary`], which
+    /// skips it.
     pub ratio: f64,
     /// Q-DPM energy reduction vs always-on over the evaluation stretch.
     pub energy_reduction: f64,
@@ -655,7 +638,7 @@ pub struct SweepRow {
 /// instead of dividing. Callers aggregating ratios must skip non-finite
 /// values; [`sweep_ratio_summary`] does.
 #[must_use]
-pub fn ratio_to_gain(cost: f64, gain: f64) -> f64 {
+pub(crate) fn ratio_to_gain(cost: f64, gain: f64) -> f64 {
     if gain.is_finite() && gain > 0.0 {
         cost / gain
     } else {
@@ -819,7 +802,7 @@ pub fn run_grid(grid: &ScenarioGrid, threads: usize) -> Result<Vec<SweepRow>, Si
 /// # Errors
 ///
 /// Propagates workload/service validation errors.
-pub fn bernoulli_sweep_grid(
+pub(crate) fn bernoulli_sweep_grid(
     devices: &[(String, PowerModel)],
     arrival_ps: &[f64],
     service_ps: &[f64],
@@ -940,21 +923,6 @@ pub fn optimal_gain(
     let sol = solvers::relative_value_iteration(&model.mdp, &cost, 1e-9, 500_000)
         .map_err(SimError::Mdp)?;
     Ok(sol.gain)
-}
-
-/// Formats a windowed series as TSV rows `end<TAB>energy<TAB>cost<TAB>
-/// reduction<TAB>queue`.
-#[must_use]
-pub fn series_to_tsv(points: &[WindowPoint]) -> String {
-    let mut out =
-        String::from("end\tenergy_per_slice\tcost_per_slice\tenergy_reduction\tavg_queue\n");
-    for p in points {
-        out.push_str(&format!(
-            "{}\t{:.6}\t{:.6}\t{:.6}\t{:.4}\n",
-            p.end, p.energy_per_slice, p.cost_per_slice, p.energy_reduction, p.avg_queue
-        ));
-    }
-    out
 }
 
 /// Mean cost-per-slice of the last `k` windows of a series (convergence
@@ -1481,20 +1449,5 @@ mod tests {
         let (mean, worst, n) = sweep_ratio_summary(&[mk(f64::NAN)]);
         assert!(mean.is_nan() && worst.is_nan());
         assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn tsv_formatting() {
-        let pts = vec![WindowPoint {
-            end: 100,
-            energy_per_slice: 0.5,
-            cost_per_slice: 0.6,
-            avg_queue: 0.2,
-            dropped: 0,
-            energy_reduction: 0.5,
-        }];
-        let tsv = series_to_tsv(&pts);
-        assert!(tsv.starts_with("end\t"));
-        assert!(tsv.contains("100\t0.500000"));
     }
 }

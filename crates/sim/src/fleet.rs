@@ -114,11 +114,11 @@ use qdpm_core::{
 };
 use qdpm_device::{DeviceMode, PowerModel, PowerStateId, ServiceModel, Step};
 use qdpm_workload::{
-    CohortArrivals, DeadlineSpec, DeadlineStats, DispatchPolicy, FaultInjector, FaultPlan,
-    SparseTrace, WorkloadDispatcher,
+    DeadlineSpec, DeadlineStats, DispatchPolicy, FaultInjector, FaultPlan, SparseTrace,
+    WorkloadDispatcher,
 };
 
-use crate::fleet_batch::{group_cohorts, CohortSim};
+use crate::fleet_batch::{group_cohorts, CohortSim, DeviceRun};
 use crate::hierarchy::{drive_rack, RackCoordinator, RackSpec};
 use crate::parallel::{derive_cell_seed, run_indexed_mut, ScenarioWorkload};
 use crate::{policies, EngineMode, FaultStats, RunStats, SimConfig, SimError, Simulator};
@@ -281,28 +281,24 @@ pub struct FleetConfig {
     /// for state-blind dispatch — this knob exists so the conformance
     /// suite can pin that equivalence.
     pub force_online: bool,
-    /// Runs homogeneous member groups on the batched structure-of-arrays
-    /// cohort engine (see [`crate::fleet_batch`]). Only preplanned
-    /// per-slice fleets batch; groups of ≥ 2 members agreeing on power
-    /// model, service model, and a batchable policy become
-    /// [`CohortSim`]s, everything else stays on the dynamic per-device
-    /// path. Results are bit-identical either way — this knob (default
-    /// `true`) exists for benchmarking and for the conformance suite to
-    /// pin that equivalence.
+    /// Runs homogeneous member groups on the batched cohort engine (see
+    /// [`crate::fleet_batch`]). Only preplanned per-slice fleets batch;
+    /// groups of ≥ 2 members agreeing on power model, service model, and
+    /// a batchable policy become [`CohortSim`]s — faults and deadline
+    /// tagging included — and everything else stays on the dynamic
+    /// per-device path. Results are bit-identical either way — this knob
+    /// (default `true`) exists for benchmarking and for the conformance
+    /// suite to pin that equivalence.
     pub batch_cohorts: bool,
     /// Seeded fault injection across the fleet (default: none). The plan
     /// is materialized ahead of simulation from per-device
     /// SplitMix64-derived streams
     /// ([`FaultInjector::plan`]`(n_devices, horizon, seed)`), so
-    /// fault-injected runs stay bit-exact across engine modes and thread
-    /// counts. Devices with scheduled faults are excluded from batched
-    /// cohorts (the structure-of-arrays engine has no fault axis) and run
-    /// on the dynamic path instead.
+    /// fault-injected runs stay bit-exact across engine modes, thread
+    /// counts, and batched versus dynamic execution.
     pub faults: Option<FaultInjector>,
-    /// Deadline tagging applied by every member's simulator (default:
-    /// none). Tagged fleets run on the dynamic per-device path — the
-    /// batched cohort engine carries no deadline ledger, so members of a
-    /// tagged fleet are excluded from cohorts exactly like faulted ones.
+    /// Deadline tagging applied to every member's arrivals (default:
+    /// none), on the batched and dynamic paths alike.
     pub deadline: Option<DeadlineSpec>,
 }
 
@@ -647,7 +643,7 @@ pub struct FleetReport {
 
 /// One independently runnable execution unit of a preplanned fleet:
 /// either a single device on the dynamic per-device path or a whole
-/// homogeneous cohort on the batched structure-of-arrays path. Units own
+/// homogeneous cohort on the batched cohort path. Units own
 /// disjoint per-device RNG streams and statistics, so any assignment of
 /// units to worker threads produces identical results.
 #[derive(Debug)]
@@ -745,40 +741,36 @@ impl FleetSim {
         let mut generator = aggregate.build()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut dispatcher = WorkloadDispatcher::new(config.dispatch, members.len())?;
+        let traces = dispatcher.split(generator.as_mut(), &mut rng, config.horizon);
+        let aggregate_arrivals = traces.iter().map(SparseTrace::total_arrivals).sum();
         // Homogeneous groups of ≥ 2 batchable members take the batched
-        // cohort path; the dispatcher scatters the identical partition
-        // either way, so batched and dynamic runs see the same arrivals.
-        // Members with scheduled faults are excluded — the batched engine
-        // has no fault clock — and fall back to the dynamic path, keeping
-        // faulted runs bit-identical whether or not batching is on.
-        let mut groups = if config.batch_cohorts
-            && config.engine_mode == EngineMode::PerSlice
-            && config.deadline.is_none()
-        {
+        // cohort path, each member with the same trace the dynamic path
+        // would replay.
+        let groups = if config.batch_cohorts && config.engine_mode == EngineMode::PerSlice {
             group_cohorts(members)
         } else {
             Vec::new()
         };
-        for group in &mut groups {
-            group.retain(|&i| fault_plan.device(i).is_empty());
-        }
-        groups.retain(|g| g.len() >= 2);
-        let grouped =
-            dispatcher.split_grouped(generator.as_mut(), &mut rng, config.horizon, &groups);
-        let aggregate_arrivals = grouped
-            .cohorts
-            .iter()
-            .map(CohortArrivals::total_arrivals)
-            .sum::<u64>()
-            + grouped
-                .dynamic
+        let mut traces: Vec<Option<SparseTrace>> = traces.into_iter().map(Some).collect();
+        let mut cohorts = Vec::with_capacity(groups.len());
+        for group in groups {
+            let rows = group
                 .iter()
-                .map(|(_, t)| t.total_arrivals())
-                .sum::<u64>();
+                .map(|&i| traces[i].take().expect("cohorts are disjoint"))
+                .collect();
+            cohorts.push(BatchUnit::Cohort(Box::new(CohortSim::new(
+                &members[group[0]],
+                group,
+                rows,
+                config,
+                &fault_plan,
+            )?)));
+        }
 
         let mut pool: Option<SharedPool> = None;
-        let mut units = Vec::with_capacity(grouped.dynamic.len() + grouped.cohorts.len());
-        for (index, trace) in grouped.dynamic {
+        let mut units = Vec::with_capacity(members.len());
+        for (index, trace) in traces.into_iter().enumerate() {
+            let Some(trace) = trace else { continue };
             let member = &members[index];
             let pm = build_policy(member, Some(&trace), &mut pool)?;
             let sim_config = SimConfig {
@@ -806,14 +798,7 @@ impl FleetSim {
                 sim: Box::new(sim),
             });
         }
-        for (group, arrivals) in groups.iter().zip(grouped.cohorts) {
-            units.push(BatchUnit::Cohort(Box::new(CohortSim::new(
-                &members[group[0]],
-                group.clone(),
-                arrivals,
-                config,
-            )?)));
-        }
+        units.extend(cohorts);
         Ok(FleetSim {
             devices: members.len(),
             inner: FleetInner::Preplanned {
@@ -867,8 +852,8 @@ impl FleetSim {
         self.has_shared
     }
 
-    /// Number of homogeneous cohorts running on the batched
-    /// structure-of-arrays path (0 for online fleets, fleets built with
+    /// Number of homogeneous cohorts running on the batched cohort path
+    /// (0 for online fleets, fleets built with
     /// [`FleetConfig::batch_cohorts`] off, or fleets with no group of ≥ 2
     /// identical batchable members).
     #[must_use]
@@ -897,12 +882,15 @@ impl FleetSim {
                 labels,
                 n_states,
             } => {
-                let results: Vec<Vec<(usize, RunStats, DeviceMode)>> =
+                let results: Vec<Vec<DeviceRun>> =
                     run_indexed_mut(&mut units, threads, |_, unit| match unit {
-                        BatchUnit::Dynamic { index, sim } => {
-                            let stats = sim.run(horizon);
-                            vec![(*index, stats, sim.observation().device_mode)]
-                        }
+                        BatchUnit::Dynamic { index, sim } => vec![DeviceRun {
+                            index: *index,
+                            stats: sim.run(horizon),
+                            mode: sim.observation().device_mode,
+                            faults: *sim.fault_stats(),
+                            deadline: *sim.deadline_stats(),
+                        }],
                         BatchUnit::Cohort(cohort) => cohort.run(horizon),
                     });
                 // Scatter unit results back into global device order; the
@@ -911,25 +899,16 @@ impl FleetSim {
                 let mut per_device = vec![RunStats::new(); devices];
                 let mut final_modes =
                     vec![DeviceMode::Operational(PowerStateId::from_index(0)); devices];
-                for (index, stats, mode) in results.into_iter().flatten() {
-                    per_device[index] = stats;
-                    final_modes[index] = mode;
-                }
-                // Units are driven in place, so fault accounting is read
-                // back after the run (cohort members are fault-free by
-                // construction — their slots stay zero).
                 let mut fault_stats = vec![FaultStats::default(); devices];
                 let mut deadline_stats = vec![DeadlineStats::default(); devices];
-                for unit in &units {
-                    if let BatchUnit::Dynamic { index, sim } = unit {
-                        fault_stats[*index] = *sim.fault_stats();
-                        deadline_stats[*index] = *sim.deadline_stats();
-                    }
+                for run in results.into_iter().flatten() {
+                    per_device[run.index] = run.stats;
+                    final_modes[run.index] = run.mode;
+                    fault_stats[run.index] = run.faults;
+                    deadline_stats[run.index] = run.deadline;
                 }
                 let mut stats = FleetStats::aggregate(&per_device, &final_modes, n_states);
                 stats.availability = AvailabilityStats::from_device_stats(&fault_stats);
-                // Merge in device order (cohort members are untagged by
-                // construction — their slots stay zero).
                 for d in &deadline_stats {
                     stats.deadline.merge(d);
                 }

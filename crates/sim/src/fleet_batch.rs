@@ -1,50 +1,45 @@
-//! Batched structure-of-arrays execution of homogeneous fleet cohorts.
+//! Batched execution of homogeneous fleet cohorts.
 //!
 //! A fleet of thousands of *identical* devices (same [`PowerModel`], same
 //! [`ServiceModel`], same [`crate::fleet::FleetPolicy`]) pays the dynamic
 //! path's per-device overheads — one boxed [`qdpm_core::PowerManager`] and
 //! one boxed [`qdpm_workload::RequestGenerator`] virtual call per slice,
-//! one `VecDeque` queue, one heap-allocated simulator — thousands of times
-//! per slice for code that is byte-for-byte the same. A [`CohortSim`]
-//! strips that overhead: it holds the whole cohort's dynamic state as flat
-//! arrays (device modes, ring queues, idle timers, service progress,
-//! per-device RNG streams) plus one striped [`BatchLearner`] for Q-DPM
-//! cohorts, resolves the policy *once* per run, and steps every member of
-//! a slice through a monomorphized copy of the engine's clean step body.
+//! one simulator with its own workload and noise streams — thousands of
+//! times per slice for code that is the same. A [`CohortSim`] strips that
+//! overhead: it holds one slice kernel per member (the same kernel
+//! [`crate::Simulator`] steps), each member's dispatched arrival events,
+//! and one policy resolved *once* per run (a single striped
+//! [`BatchLearner`] for Q-DPM cohorts), and steps every member through a
+//! loop monomorphized over that policy.
 //!
 //! # Exactness contract
 //!
-//! A cohort run is **bit-exact** against the dynamic path: the step body
-//! replicates [`crate::Simulator`]'s clean specialization (`NOISY=false`,
-//! `RECORD=false`, [`crate::EngineMode::PerSlice`]) operation for
-//! operation, each member keeps the *same* policy and service RNG streams
-//! the dynamic path would seed
-//! ([`derive_cell_seed`]`(fleet_seed, global_index)` plus the simulator's
-//! per-stream offsets), arrivals come from the *same*
-//! [`WorkloadDispatcher`] partition (packaged as one [`CohortArrivals`]
-//! index list by `split_grouped` instead of per-device traces), and
-//! per-device [`RunStats`] are folded by the same [`RunStats::record`]
-//! call. The fleet conformance suite pins batched ≡ dynamic ≡ event-skip
-//! to equal f64 bits.
+//! A cohort run is **bit-exact** against the dynamic path by construction:
+//! every member executes the engine's one slice body, seeded from the
+//! *same* device seed the dynamic path would use
+//! ([`derive_cell_seed`]`(fleet_seed, global_index)`), with the same fault
+//! schedule and deadline tagging, and with the *same* [`SparseTrace`] of
+//! arrivals the [`WorkloadDispatcher`] split hands the dynamic path. The
+//! fleet conformance suite pins batched ≡ dynamic ≡ event-skip to equal
+//! f64 bits, faults and deadlines included.
 //!
 //! [`WorkloadDispatcher`]: qdpm_workload::WorkloadDispatcher
+//! [`PowerModel`]: qdpm_device::PowerModel
+//! [`ServiceModel`]: qdpm_device::ServiceModel
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use qdpm_core::rng_util::uniform;
 use qdpm_core::{
     BatchLearner, DpmStateEncoder, LegalActionTable, Observation, PowerManager, RewardWeights,
     StateEncoder, StepOutcome,
 };
-use qdpm_device::{
-    scaled_completion, DeviceMode, DeviceState, PowerModel, PowerStateId, ServiceModel, Step,
-};
-use qdpm_workload::CohortArrivals;
+use qdpm_device::{DeviceMode, PowerStateId, Step};
+use qdpm_workload::{DeadlineStats, FaultPlan, SparseTrace};
 
+use crate::engine::{diff_stats, ArrivalSource, BatchPolicy, SliceEnv, SliceKernel};
 use crate::fleet::{FleetConfig, FleetMember, FleetPolicy};
 use crate::parallel::derive_cell_seed;
-use crate::{policies, RunStats, SimError};
+use crate::{policies, FaultStats, RunStats, SimError};
 
 /// Whether a fleet policy can run on the batched cohort path.
 ///
@@ -55,7 +50,7 @@ use crate::{policies, RunStats, SimError};
 /// [`FleetPolicy::QDpm`] (per-device tables, striped in a
 /// [`BatchLearner`]). The rest stay on the dynamic path:
 /// [`FleetPolicy::AdaptiveTimeout`] and the oracles carry cross-slice
-/// controller state the SoA loop does not model, and
+/// controller state a shared cohort policy does not model, and
 /// [`FleetPolicy::QosQDpm`] / [`FleetPolicy::SharedQDpm`] learn through
 /// machinery (Lagrange multiplier, shared table) that is not per-device.
 #[must_use]
@@ -99,24 +94,6 @@ pub(crate) fn group_cohorts(members: &[FleetMember]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// The per-slice decision/feedback interface the monomorphized cohort
-/// loop drives — the batched analogue of [`PowerManager`], with the
-/// device's cohort-local index threaded through so learners can address
-/// their table stripe.
-trait BatchPolicy {
-    /// Announces that the loop is about to run `device`'s stretch —
-    /// stateful policies drop any cross-slice caches carried over from
-    /// the previous device.
-    fn begin_device(&mut self, _device: usize) {}
-
-    /// Chooses the command for `device`'s current slice.
-    fn decide(&mut self, device: usize, obs: &Observation, rng: &mut StdRng) -> PowerStateId;
-
-    /// Receives the outcome of `device`'s slice (paired with the
-    /// immediately preceding `decide` for the same device).
-    fn observe(&mut self, device: usize, outcome: &StepOutcome, next_obs: &Observation);
-}
-
 /// Stateless heuristics share one instance across the cohort: their
 /// [`PowerManager`] impls read only the observation.
 macro_rules! stateless_batch_policy {
@@ -155,22 +132,20 @@ struct QDpmBatch {
     /// [`qdpm_core::QDpmConfig`], which may differ from the fleet's
     /// metrics weights).
     weights: RewardWeights,
-    /// `(state, action)` of the in-flight decide, slice-local: in the
-    /// per-slice engine every decide is answered by an observe within the
-    /// same device step.
+    /// `(state, action)` of the in-flight decide, slice-local: every
+    /// decide is answered by an observe within the same device step.
     pending: (usize, usize),
     /// Encoded state carried from the previous slice's `next_obs` to the
     /// next `decide` of the *same device stretch*. Nothing mutates the
-    /// device between `observe(t)` and `decide(t + 1)` and the
-    /// observation never reads the wall clock, so the two observations
-    /// are identical and re-encoding would be pure waste. Reset by
-    /// [`BatchPolicy::begin_device`].
+    /// device between `observe(t)` and `decide(t + 1)` short of a crash
+    /// reboot, so the two observations are identical and re-encoding
+    /// would be pure waste. Dropped by [`BatchPolicy::reset_carry`].
     cached_s: Option<usize>,
 }
 
 impl BatchPolicy for QDpmBatch {
     #[inline]
-    fn begin_device(&mut self, _device: usize) {
+    fn reset_carry(&mut self, _device: usize) {
         self.cached_s = None;
     }
 
@@ -214,223 +189,79 @@ enum CohortPolicy {
     QDpm(Box<QDpmBatch>),
 }
 
-/// The cohort's dynamic state, structure-of-arrays: every per-device
-/// field of the dynamic [`crate::Simulator`] flattened into one `Vec`
-/// indexed by cohort-local device index. The run loop is *device-major*
-/// — each device's whole stretch runs before the next device starts, so
-/// its state, ring queue, RNG streams, and Q-table stripe stay cache-hot
-/// — which is sound because cohort devices never interact within a
-/// slice (the dispatcher fixed each device's arrivals ahead of time, and
-/// nothing in the step body reads another device's state or the wall
-/// clock).
-#[derive(Debug)]
-struct Soa {
-    power: PowerModel,
-    service: ServiceModel,
-    weights: RewardWeights,
-    queue_cap: usize,
-    /// Device modes + in-flight transitions (the extracted
-    /// [`DeviceState`] POD both paths share).
-    states: Vec<DeviceState>,
-    /// Ring-queue arrival timestamps, `n * queue_cap`, device-major.
-    q_buf: Vec<Step>,
-    /// Ring-queue head offsets.
-    q_head: Vec<u32>,
-    /// Ring-queue lengths.
-    q_len: Vec<u32>,
-    /// Consecutive arrival-free slices per device.
-    idle: Vec<u64>,
-    /// Deterministic-service progress per device.
-    progress: Vec<u32>,
-    /// Per-device policy RNG streams (same seeds as the dynamic path).
-    rng_policy: Vec<StdRng>,
-    /// Per-device service RNG streams.
-    rng_service: Vec<StdRng>,
-    /// Per-device statistics, folded by [`RunStats::record`].
-    stats: Vec<RunStats>,
-    /// Per-device arrival events `(slice, count)`, slice-ascending,
-    /// stored CSR-style: device `i`'s events are
-    /// `ev[ev_offsets[i]..ev_offsets[i + 1]]`.
-    ev: Vec<(Step, u32)>,
-    /// CSR row offsets into [`Soa::ev`], length `n + 1`.
-    ev_offsets: Vec<usize>,
-    /// Per-device cursor into its event row (consumed events), so
-    /// stretch runs compose.
-    ev_cursor: Vec<usize>,
-    /// First unsimulated slice (devices advance in lockstep across
-    /// `run` calls: each call steps every device the same horizon).
-    now: Step,
+/// One member's dispatched `(slice, count)` events as a kernel arrival
+/// source. The cursor (events consumed) lives in the cohort, so stretch
+/// runs compose.
+struct EventRow<'a> {
+    events: &'a [(Step, u32)],
+    cursor: &'a mut usize,
 }
 
-/// One device's whole stretch — the engine's clean step body
-/// (`step_impl::<false, false>`) iterated slice by slice over hoisted
-/// field borrows, operation for operation: decide, command, arrivals,
-/// tick, service, accounting, feedback.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn run_device<P: BatchPolicy>(
-    policy: &mut P,
-    device: usize,
-    power: &PowerModel,
-    service: ServiceModel,
-    weights: &RewardWeights,
-    cap: usize,
-    state: &mut DeviceState,
-    q: &mut [Step],
-    q_head: &mut u32,
-    q_len: &mut u32,
-    idle: &mut u64,
-    progress: &mut u32,
-    rng_policy: &mut StdRng,
-    rng_service: &mut StdRng,
-    stats: &mut RunStats,
-    events: &[(Step, u32)],
-    cursor: &mut usize,
-    start: Step,
-    end: Step,
-) {
-    policy.begin_device(device);
-    for now in start..end {
-        // 1. Decide from the slice-opening observation.
-        let obs = Observation {
-            device_mode: state.mode,
-            queue_len: *q_len as usize,
-            idle_slices: *idle,
-            sr_mode_hint: None,
-        };
-        let command = policy.decide(device, &obs, rng_policy);
-
-        // 2. Command takes effect; instant switches pay now.
-        let cmd_energy = state.command(power, command).immediate_energy();
-
-        // 3. Arrivals from this device's dispatched event row.
-        let arrivals = if *cursor < events.len() && events[*cursor].0 == now {
-            let count = events[*cursor].1;
-            *cursor += 1;
-            count
-        } else {
-            0
-        };
-        let mut dropped = 0u32;
-        for _ in 0..arrivals {
-            if *q_len as usize == cap {
-                dropped += 1;
-            } else {
-                // head + len < 2 * cap, so one conditional subtract
-                // replaces the modulo.
-                let mut slot = *q_head as usize + *q_len as usize;
-                if slot >= cap {
-                    slot -= cap;
-                }
-                q[slot] = now;
-                *q_len += 1;
+impl ArrivalSource for EventRow<'_> {
+    #[inline]
+    fn arrivals(&mut self, now: Step) -> u32 {
+        match self.events.get(*self.cursor) {
+            Some(&(slice, count)) if slice == now => {
+                *self.cursor += 1;
+                count
             }
+            _ => 0,
         }
-        *idle = if arrivals > 0 { 0 } else { *idle + 1 };
-
-        // 4. Device elapses the slice.
-        let tick = state.tick(power);
-
-        // 5. Service: the uniform draw happens exactly when the dynamic
-        //    path would draw it.
-        let mut completed = 0u32;
-        let mut wait_of_completed = 0u64;
-        if tick.can_serve && *q_len > 0 {
-            let u = uniform(rng_service);
-            let served = match service {
-                // The serving state's operating point scales the geometric
-                // completion law exactly as the dynamic engine's
-                // `Server::advance_scaled` does (identity at nominal
-                // frequency), keeping cohort and dynamic paths bit-exact
-                // for DVFS models too.
-                ServiceModel::Geometric { p } => {
-                    u < scaled_completion(p, state.operating_freq(power))
-                }
-                ServiceModel::Deterministic { steps } => {
-                    *progress += 1;
-                    if *progress >= steps {
-                        *progress = 0;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if served {
-                let arrived = q[*q_head as usize];
-                let next_head = *q_head as usize + 1;
-                *q_head = if next_head == cap {
-                    0
-                } else {
-                    next_head as u32
-                };
-                *q_len -= 1;
-                wait_of_completed = now.saturating_sub(arrived);
-                completed = 1;
-            }
-        }
-
-        // 6. Accounting and feedback.
-        let outcome = StepOutcome {
-            energy: cmd_energy + tick.energy,
-            queue_len: *q_len as usize,
-            dropped,
-            completed,
-            arrivals,
-            deadline_misses: 0,
-        };
-        stats.record(&outcome, weights, wait_of_completed);
-        let next_obs = Observation {
-            device_mode: state.mode,
-            queue_len: *q_len as usize,
-            idle_slices: *idle,
-            sr_mode_hint: None,
-        };
-        policy.observe(device, &outcome, &next_obs);
     }
 }
 
 /// The monomorphized cohort loop, device-major: each device runs its
-/// whole stretch over its own event row before the next device starts.
-fn run_batch<P: BatchPolicy>(soa: &mut Soa, policy: &mut P, horizon: Step) {
-    let start = soa.now;
-    let end = start + horizon;
-    let cap = soa.queue_cap;
-    for device in 0..soa.states.len() {
-        run_device(
-            policy,
-            device,
-            &soa.power,
-            soa.service,
-            &soa.weights,
-            cap,
-            &mut soa.states[device],
-            &mut soa.q_buf[device * cap..(device + 1) * cap],
-            &mut soa.q_head[device],
-            &mut soa.q_len[device],
-            &mut soa.idle[device],
-            &mut soa.progress[device],
-            &mut soa.rng_policy[device],
-            &mut soa.rng_service[device],
-            &mut soa.stats[device],
-            &soa.ev[soa.ev_offsets[device]..soa.ev_offsets[device + 1]],
-            &mut soa.ev_cursor[device],
-            start,
-            end,
-        );
+/// whole stretch before the next device starts, so its kernel, events
+/// and Q-table stripe stay cache-hot. This is sound because cohort
+/// devices never interact: the dispatcher fixed each device's arrivals
+/// ahead of time, and nothing in the slice body reads another device's
+/// state or the wall clock.
+fn run_cohort<P: BatchPolicy>(
+    policy: &mut P,
+    kernels: &mut [SliceKernel],
+    rows: &mut [(SparseTrace, usize)],
+    env: &SliceEnv,
+    horizon: Step,
+) {
+    for (device, (kernel, (trace, cursor))) in kernels.iter_mut().zip(rows).enumerate() {
+        policy.reset_carry(device);
+        let mut row = EventRow {
+            events: trace.events(),
+            cursor,
+        };
+        for _ in 0..horizon {
+            kernel.step(policy, device, &mut row, env);
+        }
     }
-    soa.now = end;
 }
 
-/// A homogeneous cohort of a fleet, ready to run batched: flat
-/// structure-of-arrays state, one resolved policy, and the cohort's
-/// shared arrival index list. Built by [`crate::FleetSim`] for every
-/// eligible group of ≥ 2 identical members (see
-/// [`is_batchable`]); results are bit-exact against running the same
-/// members on the dynamic per-device path.
+/// One member's results after a [`CohortSim::run`] stretch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeviceRun {
+    /// Global device index.
+    pub index: usize,
+    /// Statistics of the stretch just run.
+    pub stats: RunStats,
+    /// Device mode at the end of the stretch.
+    pub mode: DeviceMode,
+    /// Availability accounting since the start of the run (cumulative).
+    pub faults: FaultStats,
+    /// Deadline ledger since the start of the run (cumulative).
+    pub deadline: DeadlineStats,
+}
+
+/// A homogeneous cohort of a fleet, ready to run batched: one slice kernel
+/// per member, the members' dispatched arrivals, and one resolved
+/// policy. Built by [`crate::FleetSim`] for every eligible group of ≥ 2
+/// identical members (see [`is_batchable`]); results are bit-exact against
+/// running the same members on the dynamic per-device path.
 #[derive(Debug)]
 pub struct CohortSim {
-    soa: Soa,
+    kernels: Vec<SliceKernel>,
+    /// Each member's dispatched arrivals with its count of consumed
+    /// events.
+    rows: Vec<(SparseTrace, usize)>,
+    env: SliceEnv,
     policy: CohortPolicy,
     /// Total arrivals the dispatcher assigned to this cohort.
     dispatched: u64,
@@ -442,33 +273,30 @@ pub struct CohortSim {
 impl CohortSim {
     /// Assembles a cohort from its representative member (`member` — all
     /// members of a cohort are equal by construction), the members'
-    /// global device indices, and the cohort's dispatched arrivals.
+    /// global device indices, their dispatched traces (in the same
+    /// order), and the fleet's fault plan (indexed by global device).
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for a non-batchable policy, a zero queue
-    /// capacity, invalid learner parameters, or an arrival list whose
-    /// size disagrees with `global_indices`.
+    /// capacity, invalid learner parameters, or a trace list whose length
+    /// disagrees with `global_indices`.
     pub fn new(
         member: &FleetMember,
         global_indices: Vec<usize>,
-        arrivals: CohortArrivals,
+        traces: Vec<SparseTrace>,
         config: &FleetConfig,
+        faults: &FaultPlan,
     ) -> Result<Self, SimError> {
         let n = global_indices.len();
         if n == 0 {
             return Err(SimError::BadConfig("a cohort needs members".to_string()));
         }
-        if arrivals.n_devices() != n {
+        if traces.len() != n {
             return Err(SimError::BadConfig(format!(
-                "cohort arrivals cover {} devices, cohort has {n}",
-                arrivals.n_devices()
+                "{} arrival traces for a cohort of {n}",
+                traces.len()
             )));
-        }
-        if config.queue_cap == 0 {
-            return Err(SimError::BadConfig(
-                "queue capacity must be positive".to_string(),
-            ));
         }
         let power = &member.power;
         let policy = match &member.policy {
@@ -506,66 +334,29 @@ impl CohortSim {
                 )))
             }
         };
-        // Exactly the dynamic path's seeding: device `g` derives its
-        // simulator seed from the fleet seed, and the simulator offsets
-        // the policy and service streams.
-        let rng_policy = global_indices
+        // Exactly the dynamic path's device seed and fault schedule.
+        let kernels = global_indices
             .iter()
             .map(|&g| {
-                StdRng::seed_from_u64(
-                    derive_cell_seed(config.seed, g as u64).wrapping_add(0x9e37_79b9),
-                )
+                let mut kernel = SliceKernel::new(
+                    power.clone(),
+                    member.service,
+                    config.queue_cap,
+                    derive_cell_seed(config.seed, g as u64),
+                )?;
+                kernel.set_fault_schedule(faults.device(g).to_vec());
+                Ok(kernel)
             })
-            .collect();
-        let rng_service = global_indices
-            .iter()
-            .map(|&g| {
-                StdRng::seed_from_u64(
-                    derive_cell_seed(config.seed, g as u64).wrapping_add(0x3c6e_f372),
-                )
-            })
-            .collect();
-        // Scatter the cohort index list into CSR per-device event rows
-        // (input is slice-ascending, so each row comes out slice-sorted).
-        let mut row_len = vec![0usize; n];
-        for &(_, local, _) in arrivals.events() {
-            row_len[local as usize] += 1;
-        }
-        let mut ev_offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        ev_offsets.push(0);
-        for len in &row_len {
-            acc += len;
-            ev_offsets.push(acc);
-        }
-        let mut ev = vec![(0u64, 0u32); acc];
-        let mut fill = ev_offsets.clone();
-        for &(slice, local, count) in arrivals.events() {
-            ev[fill[local as usize]] = (slice, count);
-            fill[local as usize] += 1;
-        }
+            .collect::<Result<Vec<_>, SimError>>()?;
         Ok(CohortSim {
-            soa: Soa {
-                power: member.power.clone(),
-                service: member.service,
+            kernels,
+            dispatched: traces.iter().map(SparseTrace::total_arrivals).sum(),
+            rows: traces.into_iter().map(|trace| (trace, 0)).collect(),
+            env: SliceEnv {
                 weights: config.weights,
-                queue_cap: config.queue_cap,
-                states: vec![DeviceState::new(&member.power); n],
-                q_buf: vec![0; n * config.queue_cap],
-                q_head: vec![0; n],
-                q_len: vec![0; n],
-                idle: vec![0; n],
-                progress: vec![0; n],
-                rng_policy,
-                rng_service,
-                stats: vec![RunStats::new(); n],
-                ev,
-                ev_offsets,
-                ev_cursor: vec![0; n],
-                now: 0,
+                deadline: config.deadline,
             },
             policy,
-            dispatched: arrivals.total_arrivals(),
             global_indices,
         })
     }
@@ -594,36 +385,30 @@ impl CohortSim {
         &self.global_indices
     }
 
-    /// Steps every member through `horizon` slices and returns
-    /// `(global index, stats, final mode)` per device in cohort-local
-    /// (ascending global) order. Stretch statistics compose: a second
-    /// call continues from where the first stopped, like
+    /// Steps every member through `horizon` slices and returns one
+    /// [`DeviceRun`] per device in cohort-local (ascending global) order.
+    /// Stretch statistics compose: a second call continues from where the
+    /// first stopped — fault clocks and deadline ledgers included — like
     /// [`crate::Simulator::run`].
-    pub fn run(&mut self, horizon: Step) -> Vec<(usize, RunStats, DeviceMode)> {
-        let before: Vec<RunStats> = self.soa.stats.clone();
+    pub fn run(&mut self, horizon: Step) -> Vec<DeviceRun> {
+        let before: Vec<RunStats> = self.kernels.iter().map(|k| k.stats().clone()).collect();
+        let (kernels, rows, env) = (&mut self.kernels, &mut self.rows, &self.env);
         match &mut self.policy {
-            CohortPolicy::AlwaysOn(p) => run_batch(&mut self.soa, p, horizon),
-            CohortPolicy::GreedyOff(p) => run_batch(&mut self.soa, p, horizon),
-            CohortPolicy::FixedTimeout(p) => run_batch(&mut self.soa, p, horizon),
-            CohortPolicy::QDpm(p) => run_batch(&mut self.soa, p.as_mut(), horizon),
+            CohortPolicy::AlwaysOn(p) => run_cohort(p, kernels, rows, env, horizon),
+            CohortPolicy::GreedyOff(p) => run_cohort(p, kernels, rows, env, horizon),
+            CohortPolicy::FixedTimeout(p) => run_cohort(p, kernels, rows, env, horizon),
+            CohortPolicy::QDpm(p) => run_cohort(p.as_mut(), kernels, rows, env, horizon),
         }
         self.global_indices
             .iter()
-            .enumerate()
-            .map(|(i, &g)| {
-                let mut stretch = self.soa.stats[i].clone();
-                let past = &before[i];
-                stretch = RunStats {
-                    steps: stretch.steps - past.steps,
-                    total_energy: stretch.total_energy - past.total_energy,
-                    total_cost: stretch.total_cost - past.total_cost,
-                    arrivals: stretch.arrivals - past.arrivals,
-                    completed: stretch.completed - past.completed,
-                    dropped: stretch.dropped - past.dropped,
-                    queue_len_sum: stretch.queue_len_sum - past.queue_len_sum,
-                    total_wait: stretch.total_wait - past.total_wait,
-                };
-                (g, stretch, self.soa.states[i].mode)
+            .zip(&self.kernels)
+            .zip(&before)
+            .map(|((&index, kernel), past)| DeviceRun {
+                index,
+                stats: diff_stats(kernel.stats(), past),
+                mode: kernel.mode(),
+                faults: *kernel.fault_stats(),
+                deadline: *kernel.deadline_stats(),
             })
             .collect()
     }
@@ -632,11 +417,12 @@ impl CohortSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{FleetReport, FleetSim};
+    use crate::fleet::{plan_faults, FleetReport, FleetSim};
     use crate::parallel::ScenarioWorkload;
     use qdpm_core::{Exploration, QDpmConfig};
-    use qdpm_device::presets;
-    use qdpm_workload::{DispatchPolicy, WorkloadSpec};
+    use qdpm_device::{presets, FaultKind};
+    use qdpm_workload::{DeadlineSpec, DispatchPolicy, FaultInjector, WorkloadSpec};
+    use rand::SeedableRng;
 
     fn bernoulli(p: f64) -> ScenarioWorkload {
         ScenarioWorkload::Stationary(WorkloadSpec::bernoulli(p).unwrap())
@@ -803,56 +589,113 @@ mod tests {
             service: presets::default_service(),
             policy: FleetPolicy::AdaptiveTimeout,
         };
-        let arrivals = {
+        let traces = {
             let mut d =
                 qdpm_workload::WorkloadDispatcher::new(DispatchPolicy::RoundRobin, 2).unwrap();
             let mut gen = qdpm_workload::BernoulliArrivals::new(0.2).unwrap();
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-            d.split_grouped(&mut gen, &mut rng, 100, &[vec![0, 1]])
-                .cohorts
-                .remove(0)
+            d.split(&mut gen, &mut rng, 100)
         };
-        let err = CohortSim::new(&member, vec![0, 1], arrivals, &FleetConfig::default());
+        let err = CohortSim::new(
+            &member,
+            vec![0, 1],
+            traces,
+            &FleetConfig::default(),
+            &FaultPlan::empty(2),
+        );
         assert!(matches!(err, Err(SimError::BadConfig(_))));
+    }
+
+    /// Runs a one-cohort fleet as two [`CohortSim::run`] stretches split at
+    /// `split`, checks they compose to the one-shot fleet run — stats,
+    /// final modes, downtime and deadline ledger — and returns both
+    /// stretches.
+    fn run_in_two_stretches(
+        members: &[FleetMember],
+        config: &FleetConfig,
+        split: Step,
+    ) -> (Vec<DeviceRun>, Vec<DeviceRun>) {
+        let workload = bernoulli(0.3);
+        let fleet = FleetSim::new(members, &workload, config).unwrap();
+        assert_eq!(fleet.batched_cohorts(), 1);
+        let whole = fleet.run(1);
+        // Drive the same cohort through CohortSim::run directly (the
+        // FleetSim::run path runs the horizon in one call; this exercises
+        // the stretch bookkeeping).
+        let groups = group_cohorts(members);
+        assert_eq!(groups, vec![(0..members.len()).collect::<Vec<_>>()]);
+        let mut dispatcher =
+            qdpm_workload::WorkloadDispatcher::new(config.dispatch, members.len()).unwrap();
+        let mut gen = workload.build().unwrap();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let traces = dispatcher.split(gen.as_mut(), &mut rng, config.horizon);
+        let mut cohort = CohortSim::new(
+            &members[0],
+            groups[0].clone(),
+            traces,
+            config,
+            &plan_faults(config, members.len()).unwrap(),
+        )
+        .unwrap();
+        let first = cohort.run(split);
+        let second = cohort.run(config.horizon - split);
+        let mut deadline = DeadlineStats::default();
+        for (a, b) in first.iter().zip(&second) {
+            let g = a.index;
+            assert_eq!(g, b.index);
+            assert_eq!(a.stats.steps + b.stats.steps, config.horizon);
+            let mut merged = a.stats.clone();
+            merged.merge(&b.stats);
+            assert_eq!(merged, whole.per_device[g], "device {g}");
+            assert_eq!(b.mode, whole.final_modes[g]);
+            assert_eq!(
+                b.faults.downtime_slices,
+                whole.stats.availability.downtime_slices[g]
+            );
+            deadline.merge(&b.deadline);
+        }
+        assert_eq!(deadline, whole.stats.deadline);
+        (first, second)
     }
 
     #[test]
     fn stretch_runs_compose_like_the_dynamic_path() {
         let members = uniform_fleet(4, FleetPolicy::frozen_q_dpm());
-        let workload = bernoulli(0.3);
-        let config = FleetConfig {
+        let plain = FleetConfig {
             horizon: 2_000,
             ..FleetConfig::default()
         };
-        // One shot...
-        let whole = FleetSim::new(&members, &workload, &config).unwrap().run(1);
-        // ...equals accumulated stretches driven through CohortSim::run
-        // directly (the FleetSim::run path runs the horizon in one call;
-        // this exercises the stretch bookkeeping).
-        let groups = group_cohorts(&members);
-        assert_eq!(groups, vec![vec![0, 1, 2, 3]]);
-        let mut dispatcher =
-            qdpm_workload::WorkloadDispatcher::new(config.dispatch, members.len()).unwrap();
-        let mut gen = workload.build().unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let grouped = dispatcher.split_grouped(gen.as_mut(), &mut rng, config.horizon, &groups);
-        let mut cohort = CohortSim::new(
-            &members[0],
-            groups[0].clone(),
-            grouped.cohorts.into_iter().next().unwrap(),
-            &config,
-        )
-        .unwrap();
-        let first = cohort.run(800);
-        let second = cohort.run(1_200);
-        for (i, (g, s1, _)) in first.iter().enumerate() {
-            let (g2, s2, mode2) = &second[i];
-            assert_eq!(g, g2);
-            assert_eq!(s1.steps + s2.steps, 2_000);
-            let mut merged = s1.clone();
-            merged.merge(s2);
-            assert_eq!(merged, whole.per_device[*g], "device {g}");
-            assert_eq!(*mode2, whole.final_modes[*g]);
-        }
+        run_in_two_stretches(&members, &plain, 800);
+
+        // Faulted and deadline-tagged, with the first stretch ending inside
+        // a crash window: the fault clock and the deadline ledger must
+        // carry across `run` calls.
+        let faulted = FleetConfig {
+            faults: Some(FaultInjector {
+                crash_rate: 0.003,
+                crash_down: 60,
+                straggle_rate: 0.003,
+                straggle_window: 100,
+                down_power: 0.05,
+                ..FaultInjector::default()
+            }),
+            deadline: Some(DeadlineSpec::uniform(3, 20).unwrap()),
+            ..plain
+        };
+        let plan = plan_faults(&faulted, members.len()).unwrap();
+        let (device, onset) = (0..members.len())
+            .find_map(|d| {
+                plan.device(d)
+                    .iter()
+                    .find(|e| matches!(e.kind, FaultKind::TransientCrash { .. }))
+                    .map(|e| (d, e.at))
+            })
+            .expect("the plan crashes some device");
+        let (first, second) = run_in_two_stretches(&members, &faulted, onset + 1);
+        // The crash window straddles the split: downtime accrues in both
+        // stretches.
+        assert_eq!(first[device].faults.downtime_slices, 1);
+        assert!(second[device].faults.downtime_slices > 1);
+        assert!(second.iter().any(|r| r.deadline.tagged > 0));
     }
 }

@@ -34,10 +34,11 @@
 //! [`qdpm_workload::WorkloadDispatcher`] or routed *online* against live
 //! device state, with closed-form [`FleetStats`] aggregation and a
 //! [`FleetGrid`] for fleet-size sweeps. Homogeneous groups of members
-//! automatically run on the [`fleet_batch`] structure-of-arrays engine —
-//! one [`fleet_batch::CohortSim`] steps the whole group through a
-//! monomorphized copy of the engine loop, bit-identical to the dynamic
-//! path and several times faster.
+//! automatically run on the [`fleet_batch`] cohort engine — one
+//! [`fleet_batch::CohortSim`] steps every member through the same slice
+//! kernel [`Simulator`] uses (faults and deadlines included) under one
+//! resolved policy, bit-identical to the dynamic path without its
+//! per-device boxing and virtual calls.
 //!
 //! The [`hierarchy`] module stacks the datacenter layers on top: a
 //! [`RackCoordinator`] enforces a rack-wide power cap over an online fleet

@@ -41,19 +41,25 @@ use qdpm_device::presets;
 use qdpm_sim::fleet::{FleetConfig, FleetMember, FleetPolicy, FleetReport, FleetSim};
 use qdpm_sim::hierarchy::{ClusterConfig, ClusterSim, RackCoordinator, RackSpec, CAP_EPS};
 use qdpm_sim::{EngineMode, RunStats, ScenarioWorkload, SimConfig};
-use qdpm_workload::{DispatchPolicy, WorkloadSpec};
+use qdpm_workload::{DeadlineSpec, DispatchPolicy, FaultInjector, WorkloadSpec};
 
 /// The mixed-preset pool fleets draw from.
 fn preset_pool() -> Vec<(String, qdpm_device::PowerModel)> {
-    ["three-state-generic", "two-state", "ibm-hdd", "wlan-card"]
-        .iter()
-        .map(|name| {
-            (
-                (*name).to_string(),
-                presets::by_name(name).expect("known preset"),
-            )
-        })
-        .collect()
+    [
+        "three-state-generic",
+        "two-state",
+        "ibm-hdd",
+        "wlan-card",
+        "three-state-dvfs",
+    ]
+    .iter()
+    .map(|name| {
+        (
+            (*name).to_string(),
+            presets::by_name(name).expect("known preset"),
+        )
+    })
+    .collect()
 }
 
 /// Builds a mixed fleet: device presets and exact policies cycled from
@@ -125,6 +131,41 @@ fn aggregate_workload(kind: usize, rate: f64) -> ScenarioWorkload {
             (700, WorkloadSpec::bernoulli(rate).unwrap()),
             (500, WorkloadSpec::bernoulli((rate * 3.0).min(0.9)).unwrap()),
         ]),
+    }
+}
+
+/// The optional fault axis: none, or one of two lively injectors (crashes
+/// with stragglers; all three fault kinds).
+fn fault_axis(kind: usize) -> Option<FaultInjector> {
+    match kind {
+        0 => None,
+        1 => Some(FaultInjector {
+            crash_rate: 0.002,
+            crash_down: 40,
+            straggle_rate: 0.002,
+            straggle_slowdown: 3,
+            straggle_window: 120,
+            down_power: 0.05,
+            ..FaultInjector::default()
+        }),
+        _ => Some(FaultInjector {
+            crash_rate: 0.003,
+            crash_down: 25,
+            fail_stop_rate: 0.0003,
+            straggle_rate: 0.002,
+            straggle_slowdown: 2,
+            straggle_window: 80,
+            down_power: 0.0,
+        }),
+    }
+}
+
+/// The optional deadline axis: untagged, fixed, or uniform deadlines.
+fn deadline_axis(kind: usize) -> Option<DeadlineSpec> {
+    match kind {
+        0 => None,
+        1 => Some(DeadlineSpec::fixed(6).unwrap()),
+        _ => Some(DeadlineSpec::uniform(3, 20).unwrap()),
     }
 }
 
@@ -255,7 +296,7 @@ proptest! {
     fn fleet_event_skip_is_exact_on_random_fleets(
         size in 1usize..14,
         policy_offset in 0usize..10,
-        preset_offset in 0usize..4,
+        preset_offset in 0usize..5,
         dispatch_id in 0usize..3,
         workload_kind in 0usize..3,
         rate in 0.02f64..0.6,
@@ -281,36 +322,43 @@ proptest! {
         assert_conservation(&skip, dispatched);
     }
 
-    /// Random fleets with repeated member templates: the batched cohort
-    /// engine (`batch_cohorts: true`, the default) reproduces the
-    /// dynamic per-device path bit-for-bit — full `FleetReport` equality
-    /// (per-device `RunStats`, final modes, aggregate `FleetStats`) — at
-    /// 1 and N threads, and both agree exactly with `EventSkip` (which
-    /// never batches), across every state-blind dispatcher.
+    /// Random fleets with repeated member templates, optionally faulted
+    /// and deadline-tagged: the batched cohort engine (`batch_cohorts:
+    /// true`, the default) reproduces the dynamic per-device path
+    /// bit-for-bit — full `FleetReport` equality (per-device `RunStats`,
+    /// final modes, aggregate `FleetStats` with each device's downtime
+    /// and the deadline ledger) — at 1 and N threads, and both agree
+    /// exactly with `EventSkip` (which never batches), across every
+    /// state-blind dispatcher.
     ///
     /// The cohort split is gated structurally in the same sweep: every
-    /// device's stats carry the full horizon (no member lost or
-    /// duplicated when the fleet regroups into cohorts plus dynamic
-    /// stragglers), and conservation pins the fleet totals to the
+    /// batchable template becomes a cohort whatever its faults and
+    /// deadlines, every device's stats carry the full horizon (no member
+    /// lost or duplicated when the fleet regroups into cohorts plus
+    /// dynamic stragglers), and conservation pins the fleet totals to the
     /// device-order fold regardless of cohort boundaries.
     #[test]
     fn batched_cohorts_equal_dynamic_on_random_fleets(
         templates in 1usize..4,
         repeat in 2usize..6,
         policy_offset in 0usize..10,
-        preset_offset in 0usize..4,
+        preset_offset in 0usize..5,
         dispatch_id in 0usize..3,
         workload_kind in 0usize..3,
         rate in 0.02f64..0.6,
         horizon in 300u64..2_000,
         seed in 0u64..10_000,
         threads in 2usize..5,
+        fault_kind in 0usize..3,
+        deadline_kind in 0usize..3,
     ) {
         let members = templated_members(templates, repeat, policy_offset, preset_offset);
         let workload = aggregate_workload(workload_kind, rate);
         let dispatch = dispatcher(dispatch_id);
         let config = |batch: bool, mode: EngineMode| FleetConfig {
             seed, dispatch, horizon, engine_mode: mode, batch_cohorts: batch,
+            faults: fault_axis(fault_kind),
+            deadline: deadline_axis(deadline_kind),
             ..FleetConfig::default()
         };
         let build = |cfg: &FleetConfig| {
@@ -318,8 +366,11 @@ proptest! {
         };
 
         let batched_fleet = build(&config(true, EngineMode::PerSlice));
-        let any_batchable = members.iter().any(|m| qdpm_sim::is_batchable(&m.policy));
-        prop_assert_eq!(batched_fleet.batched_cohorts() > 0, any_batchable);
+        let batchable_templates = members
+            .chunks(repeat)
+            .filter(|template| qdpm_sim::is_batchable(&template[0].policy))
+            .count();
+        prop_assert_eq!(batched_fleet.batched_cohorts(), batchable_templates);
         let dispatched = batched_fleet.dispatched_arrivals();
 
         let batched_serial = batched_fleet.run(1);
@@ -354,7 +405,7 @@ proptest! {
     fn online_dispatch_is_engine_and_thread_exact_on_random_fleets(
         size in 1usize..12,
         policy_offset in 0usize..8,
-        preset_offset in 0usize..4,
+        preset_offset in 0usize..5,
         dispatch_id in 0usize..5,
         workload_kind in 0usize..3,
         rate in 0.02f64..0.6,
@@ -398,7 +449,7 @@ proptest! {
     fn capped_rack_never_exceeds_cap_on_random_racks(
         size in 1usize..9,
         policy_offset in 0usize..8,
-        preset_offset in 0usize..4,
+        preset_offset in 0usize..5,
         dispatch_id in 0usize..5,
         workload_kind in 0usize..3,
         rate in 0.05f64..0.6,
