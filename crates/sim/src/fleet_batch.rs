@@ -263,8 +263,6 @@ pub struct CohortSim {
     rows: Vec<(SparseTrace, usize)>,
     env: SliceEnv,
     policy: CohortPolicy,
-    /// Total arrivals the dispatcher assigned to this cohort.
-    dispatched: u64,
     /// Global device indices of the members, ascending (local index `i`
     /// is global device `global_indices[i]`).
     global_indices: Vec<usize>,
@@ -350,7 +348,6 @@ impl CohortSim {
             .collect::<Result<Vec<_>, SimError>>()?;
         Ok(CohortSim {
             kernels,
-            dispatched: traces.iter().map(SparseTrace::total_arrivals).sum(),
             rows: traces.into_iter().map(|trace| (trace, 0)).collect(),
             env: SliceEnv {
                 weights: config.weights,
@@ -376,7 +373,10 @@ impl CohortSim {
     /// Total arrivals dispatched to this cohort over the horizon.
     #[must_use]
     pub fn dispatched_arrivals(&self) -> u64 {
-        self.dispatched
+        self.rows
+            .iter()
+            .map(|(trace, _)| trace.total_arrivals())
+            .sum()
     }
 
     /// Global device indices of the members, ascending.
