@@ -254,7 +254,10 @@ pub struct ServeOptions {
     pub throttle: Duration,
     /// Write the final report here (atomically).
     pub report_out: Option<PathBuf>,
-    /// Worker threads for gap advancement.
+    /// Threads that advance arrival-free gaps, the serving thread
+    /// included: the rack keeps `threads - 1` workers alive between gaps
+    /// ([`RackCoordinator::advance_gap`]). The report is identical at any
+    /// count.
     pub threads: usize,
     /// Ignore existing checkpoints and start cold.
     pub fresh: bool,

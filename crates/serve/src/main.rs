@@ -84,7 +84,8 @@ SERVE OPTIONS:
   --checkpoint-every <N>   checkpoint cadence in slices (default 100)
   --throttle-us <U>        sleep U microseconds per slice (default 0)
   --report-out <PATH>      write the final deterministic report here
-  --threads <N>            gap-advance worker threads (default 1)
+  --threads <N>            gap-advance threads, >= 1, the caller's
+                           included; identical report at any N (default 1)
   --fresh                  ignore existing checkpoints, start cold
 ";
 
@@ -213,6 +214,19 @@ fn parse_nonneg(flag: &'static str, v: &str) -> Result<f64, ServeError> {
         });
     }
     Ok(x)
+}
+
+/// Parses a worker-thread count: a positive integer.
+fn parse_workers(flag: &'static str, v: &str) -> Result<usize, ServeError> {
+    let n: usize = parse_num(flag, v)?;
+    if n == 0 {
+        return Err(ServeError::OutOfRange {
+            flag,
+            value: 0.0,
+            expected: "a positive worker count",
+        });
+    }
+    Ok(n)
 }
 
 fn record(args: &[String]) -> Result<(), ServeError> {
@@ -379,7 +393,7 @@ fn serve(args: &[String]) -> Result<(), ServeError> {
     };
     let report_out = flags.value("--report-out")?.map(PathBuf::from);
     let threads: usize = match flags.value("--threads")? {
-        Some(v) => parse_num("--threads", v)?,
+        Some(v) => parse_workers("--threads", v)?,
         None => 1,
     };
     let fresh = flags.switch("--fresh");
@@ -422,7 +436,7 @@ fn serve(args: &[String]) -> Result<(), ServeError> {
 mod tests {
     use super::*;
 
-    fn out_of_range(r: Result<f64, ServeError>, flag: &str) {
+    fn out_of_range<T: std::fmt::Debug>(r: Result<T, ServeError>, flag: &str) {
         match r {
             Err(ServeError::OutOfRange { flag: f, .. }) => assert_eq!(f, flag),
             other => panic!("{flag}: expected OutOfRange, got {other:?}"),
@@ -471,6 +485,19 @@ mod tests {
         for bad in ["-0.1", "NaN", "inf"] {
             out_of_range(parse_nonneg("--fault-power", bad), "--fault-power");
         }
+    }
+
+    #[test]
+    fn threads_flag_rejects_zero() {
+        assert_eq!(parse_workers("--threads", "1").unwrap(), 1);
+        assert_eq!(parse_workers("--threads", "8").unwrap(), 8);
+        out_of_range(parse_workers("--threads", "0"), "--threads");
+        let msg = parse_workers("--threads", "0").unwrap_err().to_string();
+        assert!(msg.contains("a positive worker count"), "{msg}");
+        assert!(matches!(
+            parse_workers("--threads", "-1"),
+            Err(ServeError::BadArgs(_))
+        ));
     }
 
     #[test]

@@ -57,9 +57,10 @@
 //! cluster seed the same way (`derive_cell_seed(seed, rack_index)`).
 //! Arrival slices and grant slices are stepped serially in device order
 //! (they are single slices; the arrival-free gaps between them carry the
-//! parallelism), so budget arbitration has one defined order at any thread
-//! count. Between grant slices a device only ever reads and writes its own
-//! budget slot, so gap-slice parallelism cannot reorder budget decisions.
+//! parallelism, on the rack's persistent [`ShardPool`]), so budget
+//! arbitration has one defined order at any thread count. Between grant
+//! slices a device only ever reads and writes its own budget slot, so
+//! gap-slice parallelism cannot reorder budget decisions.
 //! Engine modes stay *exact*: grant and arrival slices execute as ordinary
 //! slices in both modes, and a quiescent device whose manager would act
 //! (and could therefore touch the budget) declines to commit the stretch,
@@ -80,7 +81,7 @@ use crate::fleet::{
     build_policy, materialize_events, plan_faults, AvailabilityStats, FleetConfig, FleetMember,
     FleetReport, FleetStats, SharedPool,
 };
-use crate::parallel::{derive_cell_seed, run_indexed_mut, ScenarioWorkload};
+use crate::parallel::{derive_cell_seed, ScenarioWorkload, ShardPool};
 use crate::{FaultStats, RunStats, SimConfig, SimError, Simulator};
 
 /// Slack added to every cap comparison, absorbing the accumulated f64
@@ -445,6 +446,9 @@ pub struct RackCoordinator {
     shed_no_healthy: u64,
     /// The rack clock: slices executed so far (all member sims agree).
     now: Step,
+    /// Persistent gap workers (none until a parallel gap needs them;
+    /// never checkpointed).
+    gap_pool: ShardPool<Simulator>,
 }
 
 impl RackCoordinator {
@@ -572,6 +576,7 @@ impl RackCoordinator {
             retry: RetryQueue::new(RETRY_BUDGET, RETRY_BACKOFF_BASE),
             shed_no_healthy: 0,
             now: 0,
+            gap_pool: ShardPool::new(),
         })
     }
 
@@ -884,14 +889,23 @@ impl RackCoordinator {
     /// Advances every device across `gap` arrival-free slices. When a
     /// grant is pending (the slice right after arrivals, where wake
     /// decisions land) its slice is stepped serially first; the remainder
-    /// runs on up to `threads` workers (budget operations in the remainder
+    /// runs on up to `threads` threads (budget operations in the remainder
     /// are own-slot only, so the interleaving cannot change results).
+    ///
+    /// The parallel remainder runs on the rack's own persistent
+    /// [`ShardPool`]: members split into `threads` contiguous shards, the
+    /// caller's thread steps shard 0 and worker `k` steps shard `k` on
+    /// every call, so a member's Q-table and queue stay on one core. The
+    /// workers are spawned on the first call with `threads > 1` and live
+    /// as long as the rack. With `threads <= 1`, or on a shared-table
+    /// rack, the remainder is a serial loop and nothing is spawned.
     ///
     /// The gap is internally chunked at fault stops — crash-harvest
     /// barriers, budget-refresh slices, retry-backoff expiries — where
     /// the rack regains serial control ([`RackCoordinator`] docs). Chunk
-    /// boundaries depend only on the fault plan and retry state, never on
-    /// `threads`, so results stay identical at any thread count.
+    /// and shard boundaries never depend on timing (shards only on the
+    /// member count and `threads`), and members are independent inside a
+    /// chunk, so results stay identical at any thread count.
     pub fn advance_gap(&mut self, gap: u64, threads: usize) {
         let threads = if self.has_shared { 1 } else { threads };
         let end = self.now + gap;
@@ -910,7 +924,7 @@ impl RackCoordinator {
             }
             self.grant_pending = false;
             if left > 0 {
-                run_indexed_mut(&mut self.sims, threads, |_, sim| {
+                self.gap_pool.run(&mut self.sims, threads, move |_, sim| {
                     sim.run(left);
                 });
             }
@@ -1289,9 +1303,14 @@ impl ClusterSim {
         self.aggregate_arrivals
     }
 
-    /// Runs the cluster on up to `threads` workers — racks advance their
-    /// gaps in parallel and every arrival slice is routed serially at a
-    /// barrier, so results are identical at any thread count.
+    /// Runs the cluster on up to `threads` threads — racks advance their
+    /// gaps and step their arrival slices in parallel, and every arrival
+    /// slice is routed across racks serially at a barrier, so results are
+    /// identical at any thread count.
+    ///
+    /// Racks are the items of one persistent [`ShardPool`] for the whole
+    /// run: rack shard `k` runs on worker `k` at every gap and every
+    /// arrival slice, and each rack advances its own members serially.
     #[must_use]
     pub fn run(mut self, threads: usize) -> ClusterReport {
         let n = self.racks.len();
@@ -1305,28 +1324,29 @@ impl ClusterSim {
             n
         ];
         let mut assign = vec![0u32; n];
+        let mut pool = ShardPool::new();
         let mut now = 0;
-        let gap_all = |racks: &mut Vec<RackCoordinator>, gap: u64| {
+        let gap_all = |pool: &mut ShardPool<_>, racks: &mut Vec<RackCoordinator>, gap: u64| {
             if gap > 0 {
-                run_indexed_mut(racks, threads, |_, rack| rack.advance_gap(gap, 1));
+                pool.run(racks, threads, move |_, rack| rack.advance_gap(gap, 1));
             }
         };
-        for &(slice, count) in &self.events.clone() {
-            gap_all(&mut self.racks, slice - now);
+        for &(slice, count) in &self.events {
+            gap_all(&mut pool, &mut self.racks, slice - now);
             for (r, rack) in self.racks.iter().enumerate() {
                 snaps[r] = rack.snapshot();
             }
             self.rack_dispatcher
                 .route_slice(count, &mut snaps, &mut assign);
-            let assign_now = assign.clone();
+            let counts: Arc<[u32]> = Arc::from(assign.as_slice());
             // Every rack steps the arrival slice (possibly with zero
             // arrivals) so the cluster stays slice-aligned.
-            run_indexed_mut(&mut self.racks, threads, |r, rack| {
-                rack.arrival_slice(assign_now[r]);
+            pool.run(&mut self.racks, threads, move |r, rack| {
+                rack.arrival_slice(counts[r]);
             });
             now = slice + 1;
         }
-        gap_all(&mut self.racks, self.horizon - now);
+        gap_all(&mut pool, &mut self.racks, self.horizon - now);
 
         let racks: Vec<RackReport> = self.racks.iter().map(RackCoordinator::report).collect();
         let per_rack: Vec<FleetStats> = racks.iter().map(|r| r.fleet.stats.clone()).collect();
@@ -1520,6 +1540,85 @@ mod tests {
         assert_eq!(reference, run(EngineMode::EventSkip, 4));
     }
 
+    /// The gap pool at several thread counts, including more threads than
+    /// members and a count that changes between gaps: many short gaps
+    /// through a capped, faulted per-slice rack and an uncapped
+    /// event-skip rack must leave identical reports and checkpoint bytes.
+    #[test]
+    fn racks_are_gap_thread_count_invariant() {
+        let mut capped = rack(5, Some(4.5));
+        capped.members[1].policy = FleetPolicy::QDpm(QDpmConfig::default());
+        capped.members[3].policy = FleetPolicy::AdaptiveTimeout;
+        let capped_cfg = FleetConfig {
+            faults: Some(qdpm_workload::FaultInjector {
+                crash_rate: 0.002,
+                crash_down: 30,
+                straggle_rate: 0.001,
+                straggle_window: 60,
+                ..qdpm_workload::FaultInjector::default()
+            }),
+            ..config(4_000, DispatchPolicy::SleepAware { spill: 3 })
+        };
+        let mut open = rack(5, None);
+        for member in open.members.iter_mut().step_by(2) {
+            member.policy = FleetPolicy::QDpm(QDpmConfig::default());
+        }
+        let open_cfg = FleetConfig {
+            engine_mode: EngineMode::EventSkip,
+            ..config(4_000, DispatchPolicy::JoinShortestQueue)
+        };
+        let workload = bernoulli(0.06);
+        for (name, spec, cfg) in [
+            ("capped", &capped, &capped_cfg),
+            ("event-skip", &open, &open_cfg),
+        ] {
+            let events = materialize_events(&workload, cfg.seed, cfg.horizon).unwrap();
+            assert!(events.len() > 100, "{} gaps", events.len());
+            let drive = |threads: &dyn Fn(usize) -> usize| {
+                let mut rack = RackCoordinator::new(spec, cfg).unwrap();
+                let mut now = 0;
+                for (i, &(slice, count)) in events.iter().enumerate() {
+                    rack.advance_gap(slice - now, threads(i));
+                    rack.arrival_slice(count);
+                    now = slice + 1;
+                }
+                rack.advance_gap(cfg.horizon - now, threads(events.len()));
+                let mut w = StateWriter::new();
+                rack.save_state(&mut w);
+                (rack.report(), w.into_bytes(), rack.gap_pool.workers())
+            };
+            let (reference, bytes, workers) = drive(&|_| 1);
+            assert_eq!(workers, 0, "{name}: the serial path spawns nothing");
+            assert!(reference.fleet.stats.total.arrivals > 0);
+            if cfg.faults.is_some() {
+                assert!(reference.fleet.stats.availability.faults_injected > 0);
+                assert!(reference.vetoed_wakeups + reference.shed_arrivals > 0);
+            }
+            for fixed in [2, 3, 8] {
+                let (report, saved, workers) = drive(&|_| fixed);
+                assert_eq!(reference, report, "{name} threads={fixed}");
+                assert!(bytes == saved, "{name} threads={fixed}: checkpoint bytes");
+                assert_eq!(workers, fixed.min(5) - 1, "{name} threads={fixed}");
+            }
+            let (report, saved, _) = drive(&|i| [2, 3, 1, 8][i % 4]);
+            assert_eq!(reference, report, "{name}: changing thread count");
+            assert!(bytes == saved, "{name}: changing thread count");
+        }
+    }
+
+    #[test]
+    fn shared_table_rack_advances_gaps_serially() {
+        let mut spec = rack(4, None);
+        for member in &mut spec.members {
+            member.policy = FleetPolicy::SharedQDpm(QDpmConfig::default());
+        }
+        let mut rack =
+            RackCoordinator::new(&spec, &config(1_000, DispatchPolicy::RoundRobin)).unwrap();
+        rack.arrival_slice(3);
+        rack.advance_gap(200, 4);
+        assert_eq!(rack.gap_pool.workers(), 0);
+    }
+
     #[test]
     fn capped_rack_cold_boots_asleep() {
         let spec = rack(3, Some(10.0));
@@ -1565,7 +1664,7 @@ mod tests {
 
     #[test]
     fn cluster_is_thread_count_invariant() {
-        let specs = vec![rack(3, Some(4.0)), rack(3, None)];
+        let specs = vec![rack(3, Some(4.0)), rack(3, None), rack(2, Some(3.0))];
         let cfg = ClusterConfig {
             rack_dispatch: DispatchPolicy::SleepAware { spill: 6 },
             fleet: config(1_500, DispatchPolicy::JoinShortestQueue),
@@ -1573,7 +1672,8 @@ mod tests {
         let reference = ClusterSim::new(&specs, &bernoulli(0.5), &cfg)
             .unwrap()
             .run(1);
-        for threads in [2, 4] {
+        // Three threads, and more threads than racks.
+        for threads in [2, 3, 4, 8] {
             let report = ClusterSim::new(&specs, &bernoulli(0.5), &cfg)
                 .unwrap()
                 .run(threads);

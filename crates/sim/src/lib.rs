@@ -25,7 +25,9 @@
 //! grid runner ([`parallel::run_indexed`]) plus the
 //! [`parallel::ScenarioGrid`] abstraction over arbitrary
 //! (device × workload × service × replicate) experiment grids — parallel
-//! output is byte-identical to the serial path at any thread count.
+//! output is byte-identical to the serial path at any thread count — and
+//! the persistent [`parallel::ShardPool`] racks and clusters step their
+//! members on.
 //!
 //! The [`fleet`] module scales along the other axis: one [`FleetSim`]
 //! steps N heterogeneous devices (mixed presets, mixed policies,

@@ -9,6 +9,10 @@
 //!   and write results into per-index slots, so the output order (and
 //!   therefore any TSV rendered from it) is *byte-identical at any thread
 //!   count*, including the serial `threads == 1` path;
+//! * [`ShardPool`] — persistent, shard-affine workers for callers that
+//!   step the same items over and over (a rack's arrival-free gaps, a
+//!   cluster's racks): shard `k` of every call runs on worker `k`, and no
+//!   thread is spawned after the first parallel call;
 //! * [`derive_cell_seed`] — a SplitMix64-style hash of (master seed, cell
 //!   index) giving every cell an independent random stream, mirroring how
 //!   [`crate::SimConfig`] derives its per-stream RNGs;
@@ -30,8 +34,12 @@
 //! assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16)]);
 //! ```
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use qdpm_core::RewardWeights;
 use qdpm_device::{PowerModel, ServiceModel, Step};
@@ -152,6 +160,196 @@ where
                 .expect("every index visited exactly once")
         })
         .collect()
+}
+
+/// The closure a [`ShardPool`] call runs on every item.
+type ShardFn<T> = Arc<dyn Fn(usize, &mut T) + Send + Sync>;
+
+/// A panic payload caught on a worker, re-raised on the caller.
+type Panic = Box<dyn Any + Send>;
+
+/// One shard travelling to a worker: the items by value, the global index
+/// of the first, and the call's closure.
+struct Job<T> {
+    shard: Vec<T>,
+    start: usize,
+    f: ShardFn<T>,
+}
+
+/// A persistent worker: its job and reply channels, the shard buffer it
+/// hands back (parked here between calls so steady-state calls allocate
+/// no shard storage), and its thread.
+struct Worker<T> {
+    jobs: Sender<Job<T>>,
+    done: Receiver<(Vec<T>, Option<Panic>)>,
+    spare: Vec<T>,
+    thread: JoinHandle<()>,
+}
+
+impl<T: Send + 'static> Worker<T> {
+    fn spawn(k: usize) -> Self {
+        let (jobs, inbox) = mpsc::channel::<Job<T>>();
+        let (reply, done) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name(format!("shard-{k}"))
+            .spawn(move || {
+                // Blocks in `recv` between jobs; exits when the pool drops
+                // its sender.
+                for Job {
+                    mut shard,
+                    start,
+                    f,
+                } in inbox
+                {
+                    let panic = catch_unwind(AssertUnwindSafe(|| {
+                        for (j, item) in shard.iter_mut().enumerate() {
+                            f(start + j, item);
+                        }
+                    }))
+                    .err();
+                    if reply.send((shard, panic)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .expect("spawning a shard worker");
+        Worker {
+            jobs,
+            done,
+            spare: Vec::new(),
+            thread,
+        }
+    }
+}
+
+/// A persistent, shard-affine worker pool for items stepped repeatedly.
+///
+/// [`ShardPool::run`] splits the items into `threads` contiguous shards in
+/// index order — boundaries depend only on `(len, threads)` — and runs
+/// shard 0 on the caller's thread and shard `k` on worker `k`, the same
+/// worker on every call, so an item's heap state stays warm in one
+/// core's cache. Shards move to their worker by value and are
+/// reassembled in order, which keeps the workspace free of `unsafe`.
+///
+/// Workers are spawned lazily (up to `min(threads, len) - 1`, on the
+/// first call that needs them), block on a channel between calls, and
+/// are joined when the pool drops. Where [`run_indexed_mut`] spawns and
+/// joins its threads on every call — noise for a one-shot grid, the
+/// dominant cost for a rack advancing hundreds of short gaps — a pool
+/// pays for its threads once.
+///
+/// # Example
+///
+/// ```
+/// use qdpm_sim::parallel::ShardPool;
+///
+/// let mut pool = ShardPool::new();
+/// let mut items: Vec<u64> = (0..10).collect();
+/// for _ in 0..3 {
+///     pool.run(&mut items, 2, |i, x| *x += i as u64);
+/// }
+/// assert_eq!(items, (0..10).map(|i| 4 * i).collect::<Vec<u64>>());
+/// ```
+pub struct ShardPool<T> {
+    workers: Vec<Worker<T>>,
+}
+
+impl<T> ShardPool<T> {
+    /// An empty pool; no thread is spawned until a call needs one.
+    #[must_use]
+    pub fn new() -> Self {
+        ShardPool {
+            workers: Vec::new(),
+        }
+    }
+
+    /// Worker threads spawned so far (the caller's thread not counted).
+    #[cfg(test)]
+    pub(crate) fn workers(&self) -> usize {
+        self.workers.len()
+    }
+}
+
+impl<T: Send + 'static> ShardPool<T> {
+    /// Runs `f(index, item)` on every item in place, on up to `threads`
+    /// threads (the caller's included). With `threads <= 1` or at most one
+    /// item it is a plain serial loop on the caller's thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from `f`, with its original payload, once every
+    /// shard is back in `items` (the lowest panicking shard wins).
+    pub fn run<F>(&mut self, items: &mut Vec<T>, threads: usize, f: F)
+    where
+        F: Fn(usize, &mut T) + Send + Sync + 'static,
+    {
+        let len = items.len();
+        let shards = threads.min(len);
+        if shards <= 1 {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            return;
+        }
+        while self.workers.len() < shards - 1 {
+            let k = self.workers.len() + 1;
+            self.workers.push(Worker::spawn(k));
+        }
+        let f: ShardFn<T> = Arc::new(f);
+        let workers = &mut self.workers[..shards - 1];
+        // Drain from the back so every shard is a tail of what is left.
+        for (k, worker) in workers.iter_mut().enumerate().rev() {
+            let start = (k + 1) * len / shards;
+            let mut shard = std::mem::take(&mut worker.spare);
+            shard.extend(items.drain(start..));
+            let job = Job {
+                shard,
+                start,
+                f: Arc::clone(&f),
+            };
+            worker.jobs.send(job).expect("shard worker alive");
+        }
+        let mut panic = catch_unwind(AssertUnwindSafe(|| {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+        }))
+        .err();
+        for worker in workers {
+            let (mut shard, caught) = worker.done.recv().expect("shard worker alive");
+            items.append(&mut shard);
+            worker.spare = shard;
+            panic = panic.or(caught);
+        }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+impl<T> Default for ShardPool<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> std::fmt::Debug for ShardPool<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardPool")
+            .field("workers", &self.workers.len())
+            .finish()
+    }
+}
+
+impl<T> Drop for ShardPool<T> {
+    fn drop(&mut self) {
+        for Worker { jobs, thread, .. } in self.workers.drain(..) {
+            drop(jobs);
+            // A worker catches its jobs' panics, so a join error is not
+            // reachable; ignore it rather than panic in drop.
+            let _ = thread.join();
+        }
+    }
 }
 
 /// The workload axis of a scenario grid: stationary specs plus the
@@ -428,6 +626,98 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert!(run_indexed(&empty, 4, |_, &x| x).is_empty());
         assert_eq!(run_indexed(&[9u64], 4, |i, &x| (i, x)), vec![(0, 9)]);
+    }
+
+    /// Order and in-place effects across repeated calls on one pool: each
+    /// call sees every item at its own index, and effects accumulate.
+    #[test]
+    fn shard_pool_keeps_order_and_effects_across_calls() {
+        let mut serial: Vec<(u64, Vec<usize>)> = (0..29).map(|x| (x, Vec::new())).collect();
+        let step = |i: usize, item: &mut (u64, Vec<usize>)| {
+            item.0 = item.0 * 3 + i as u64;
+            item.1.push(i);
+        };
+        for _ in 0..5 {
+            for (i, item) in serial.iter_mut().enumerate() {
+                step(i, item);
+            }
+        }
+        for threads in [2, 3, 4] {
+            let mut pool = ShardPool::new();
+            let mut items: Vec<(u64, Vec<usize>)> = (0..29).map(|x| (x, Vec::new())).collect();
+            for _ in 0..5 {
+                pool.run(&mut items, threads, step);
+            }
+            assert_eq!(items, serial, "threads={threads}");
+            assert_eq!(pool.workers(), threads - 1);
+        }
+    }
+
+    #[test]
+    fn shard_pool_follows_a_changing_thread_count() {
+        let mut pool = ShardPool::new();
+        let mut items: Vec<u64> = (0..17).collect();
+        for threads in [2, 3, 1, 3, 2] {
+            pool.run(&mut items, threads, |i, x| *x = *x * 7 + i as u64);
+        }
+        let mut expected: Vec<u64> = (0..17).collect();
+        for _ in 0..5 {
+            for (i, x) in expected.iter_mut().enumerate() {
+                *x = *x * 7 + i as u64;
+            }
+        }
+        assert_eq!(items, expected);
+        // Workers persist at the high-water mark; the serial call spawned
+        // none and dropped none.
+        assert_eq!(pool.workers(), 2);
+    }
+
+    #[test]
+    fn shard_pool_with_fewer_items_than_threads() {
+        let mut pool = ShardPool::new();
+        let mut empty: Vec<u64> = Vec::new();
+        pool.run(&mut empty, 8, |_, x| *x += 1);
+        assert!(empty.is_empty());
+        let mut one = vec![5u64];
+        pool.run(&mut one, 8, |i, x| *x += 10 + i as u64);
+        assert_eq!(one, vec![15]);
+        assert_eq!(pool.workers(), 0, "one item runs on the caller");
+        let mut three = vec![1u64, 2, 3];
+        pool.run(&mut three, 8, |i, x| *x *= 10 + i as u64);
+        assert_eq!(three, vec![10, 22, 36]);
+        assert_eq!(
+            pool.workers(),
+            2,
+            "one shard per item, shard 0 on the caller"
+        );
+    }
+
+    /// A panic on a worker reaches the caller with its payload, after
+    /// which the pool (and its blocked workers) drop without hanging.
+    #[test]
+    #[should_panic(expected = "item 6 refused")]
+    fn shard_pool_reraises_a_worker_panic() {
+        let mut pool = ShardPool::new();
+        let mut items: Vec<u64> = (0..8).collect();
+        pool.run(&mut items, 2, |_, x| *x += 1);
+        pool.run(&mut items, 2, |i, _| assert!(i != 6, "item {i} refused"));
+    }
+
+    #[test]
+    fn shard_pool_survives_a_caught_panic() {
+        let mut pool = ShardPool::new();
+        let mut items: Vec<u64> = (0..8).collect();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&mut items, 3, |i, x| {
+                assert!(i != 7, "boom");
+                *x += 1;
+            });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(items.len(), 8, "every shard came back");
+        pool.run(&mut items, 3, |_, x| *x += 100);
+        // Item 7 panicked before its increment; the rest of its shard ran.
+        assert_eq!(items, vec![101, 102, 103, 104, 105, 106, 107, 107]);
     }
 
     #[test]
