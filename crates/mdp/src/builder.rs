@@ -339,7 +339,9 @@ pub fn build_dpm_mdp(
                     };
                     let arrive_p = arrivals.arrival_prob[sr];
                     // Enumerate (arrival?, service?, next sr mode) branches.
-                    let mut acc: HashMap<usize, f64> = HashMap::new();
+                    // Each next state's mass sums its branches in
+                    // enumeration order; the row is sorted once complete.
+                    let mut row: Vec<(usize, f64)> = Vec::new();
                     let mut perf = 0.0;
                     for (arrived, p_arr) in [(false, 1.0 - arrive_p), (true, arrive_p)] {
                         if p_arr == 0.0 {
@@ -361,11 +363,13 @@ pub fn build_dpm_mdp(
                                     continue;
                                 }
                                 let next = space.index(m2, dev_end, q2);
-                                *acc.entry(next).or_insert(0.0) += branch * p_mode;
+                                match row.iter_mut().find(|(s, _)| *s == next) {
+                                    Some((_, mass)) => *mass += branch * p_mode,
+                                    None => row.push((next, branch * p_mode)),
+                                }
                             }
                         }
                     }
-                    let mut row: Vec<(usize, f64)> = acc.into_iter().collect();
                     row.sort_unstable_by_key(|&(s, _)| s);
                     builder.set_action(s_idx, a, row, energy, perf);
                 }

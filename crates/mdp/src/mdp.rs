@@ -347,10 +347,33 @@ impl StochasticPolicy {
         self.probs[s * self.n_actions + a]
     }
 
+    /// The policy that takes `policy`'s action with probability 1, over
+    /// `n_actions` actions (pass the MDP's action count: the policy may
+    /// never pick the highest action).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy picks an action `>= n_actions`.
+    #[must_use]
+    pub fn from_deterministic(policy: &DeterministicPolicy, n_actions: usize) -> Self {
+        let mut probs = vec![0.0; policy.n_states() * n_actions];
+        for (s, &a) in policy.actions().iter().enumerate() {
+            assert!(a < n_actions, "action {a} out of range in state {s}");
+            probs[s * n_actions + a] = 1.0;
+        }
+        StochasticPolicy { probs, n_actions }
+    }
+
     /// Number of states covered.
     #[must_use]
     pub fn n_states(&self) -> usize {
         self.probs.len() / self.n_actions
+    }
+
+    /// Number of actions each state's distribution ranges over.
+    #[must_use]
+    pub fn n_actions(&self) -> usize {
+        self.n_actions
     }
 
     /// Samples an action in state `s` from a uniform draw `u in [0, 1)`.
@@ -386,18 +409,6 @@ impl StochasticPolicy {
             })
             .collect();
         DeterministicPolicy::new(actions)
-    }
-}
-
-impl From<DeterministicPolicy> for StochasticPolicy {
-    fn from(d: DeterministicPolicy) -> Self {
-        let n_states = d.n_states();
-        let n_actions = d.actions().iter().max().copied().unwrap_or(0) + 1;
-        let mut probs = vec![0.0; n_states * n_actions];
-        for (s, &a) in d.actions().iter().enumerate() {
-            probs[s * n_actions + a] = 1.0;
-        }
-        StochasticPolicy { probs, n_actions }
     }
 }
 
@@ -511,9 +522,42 @@ mod tests {
     #[test]
     fn deterministic_round_trip() {
         let d = DeterministicPolicy::new(vec![1, 0]);
-        let s: StochasticPolicy = d.clone().into();
+        let s = StochasticPolicy::from_deterministic(&d, 2);
         assert_eq!(s.prob(0, 1), 1.0);
         assert_eq!(s.prob(1, 0), 1.0);
         assert_eq!(s.to_deterministic(), d);
+    }
+
+    #[test]
+    fn deterministic_policy_never_picking_the_top_action_evaluates() {
+        // Regression: the columns were once sized by the largest action the
+        // policy used, so [0, 0] covered one action of two and evaluation
+        // panicked with "action out of range".
+        use crate::solvers::{evaluate_policy_discounted, evaluate_stochastic_discounted};
+        let m = toy_mdp();
+        let cost = m.combined_cost(CostWeights::new(1.0, 0.0).unwrap());
+        let d = DeterministicPolicy::new(vec![0, 0]);
+        let s = StochasticPolicy::from_deterministic(&d, m.n_actions());
+        assert_eq!(s.n_actions(), 2);
+        assert_eq!(
+            evaluate_stochastic_discounted(&m, &cost, &s, 0.9).unwrap(),
+            evaluate_policy_discounted(&m, &cost, &d, 0.9).unwrap()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stochastic policy covers a different number of actions")]
+    fn stochastic_evaluation_rejects_a_narrower_policy() {
+        use crate::solvers::evaluate_stochastic_discounted;
+        let m = toy_mdp();
+        let cost = m.combined_cost(CostWeights::default());
+        let narrow = StochasticPolicy::new(vec![1.0, 1.0], 1).unwrap();
+        let _ = evaluate_stochastic_discounted(&m, &cost, &narrow, 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "action 2 out of range in state 1")]
+    fn from_deterministic_rejects_out_of_range_actions() {
+        let _ = StochasticPolicy::from_deterministic(&DeterministicPolicy::new(vec![0, 2]), 2);
     }
 }

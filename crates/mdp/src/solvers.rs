@@ -5,6 +5,15 @@
 //! Fig. 1: discounted value iteration, Howard policy iteration (with exact
 //! policy evaluation via LU), and relative value iteration for the
 //! average-cost criterion. The LP formulation lives in [`crate::lp`].
+//!
+//! Policy iteration can start from any legal policy:
+//! [`policy_iteration_from`] takes the start, and [`policy_iteration`]
+//! starts from the myopic policy. A start close to the optimum, such as
+//! the optimum of a model with a neighbouring arrival rate, needs fewer
+//! evaluations; each evaluation refills one reused matrix buffer and
+//! solves it with the zero-skipping LU of [`crate::linalg`]. The result
+//! depends only on the policy PI stops at, because that policy's values
+//! come from one exact evaluation.
 
 use crate::linalg::Matrix;
 use crate::{DeterministicPolicy, Mdp, MdpError};
@@ -181,20 +190,41 @@ pub fn evaluate_policy_discounted(
     check_cost(mdp, cost);
     assert_eq!(policy.n_states(), mdp.n_states(), "policy size mismatch");
     let n = mdp.n_states();
-    let mut a = Matrix::identity(n);
-    let mut b = vec![0.0; n];
-    for s in 0..n {
+    let mut values = vec![0.0; n];
+    solve_policy_system(
+        mdp,
+        cost,
+        policy,
+        discount,
+        &mut Matrix::zeros(n, n),
+        &mut values,
+    )?;
+    Ok(values)
+}
+
+/// Fills `system` with `I - beta * P_pi` and `values` with `c_pi`, then
+/// solves in place, leaving the policy's values in `values`.
+fn solve_policy_system(
+    mdp: &Mdp,
+    cost: &[f64],
+    policy: &DeterministicPolicy,
+    discount: f64,
+    system: &mut Matrix,
+    values: &mut [f64],
+) -> Result<(), MdpError> {
+    system.set_identity();
+    for (s, b) in values.iter_mut().enumerate() {
         let act = policy.action(s);
         assert!(
             mdp.is_legal(s, act),
             "policy picks illegal action {act} in state {s}"
         );
-        b[s] = cost[s * mdp.n_actions() + act];
+        *b = cost[s * mdp.n_actions() + act];
         for &(next, p) in mdp.transition_row(s, act) {
-            a[(s, next)] -= discount * p;
+            system[(s, next)] -= discount * p;
         }
     }
-    a.solve(&b)
+    system.solve_in_place(values)
 }
 
 /// Exact discounted evaluation of a *stochastic* policy: solves
@@ -208,8 +238,8 @@ pub fn evaluate_policy_discounted(
 ///
 /// # Panics
 ///
-/// Panics on dimension mismatches or when the policy puts probability on
-/// an illegal action.
+/// Panics on dimension mismatches (states or actions) or when the policy
+/// puts probability on an illegal action.
 pub fn evaluate_stochastic_discounted(
     mdp: &Mdp,
     cost: &[f64],
@@ -219,6 +249,11 @@ pub fn evaluate_stochastic_discounted(
     check_discount(discount)?;
     check_cost(mdp, cost);
     assert_eq!(policy.n_states(), mdp.n_states(), "policy size mismatch");
+    assert_eq!(
+        policy.n_actions(),
+        mdp.n_actions(),
+        "stochastic policy covers a different number of actions than the mdp"
+    );
     let n = mdp.n_states();
     let n_a = mdp.n_actions();
     let mut a = Matrix::identity(n);
@@ -242,10 +277,8 @@ pub fn evaluate_stochastic_discounted(
     a.solve(&b)
 }
 
-/// Howard policy iteration: exact evaluation + greedy improvement.
-///
-/// Terminates in finitely many steps for discounted problems; typically a
-/// handful of iterations even for hundreds of states.
+/// Howard policy iteration from the myopic policy (the cheapest
+/// immediate cost in every state); see [`policy_iteration_from`].
 ///
 /// # Errors
 ///
@@ -258,9 +291,8 @@ pub fn evaluate_stochastic_discounted(
 pub fn policy_iteration(mdp: &Mdp, cost: &[f64], discount: f64) -> Result<Solution, MdpError> {
     check_discount(discount)?;
     check_cost(mdp, cost);
-    // Start from the myopic policy (cheapest immediate cost).
     let n_a = mdp.n_actions();
-    let mut policy = DeterministicPolicy::new(
+    let myopic = DeterministicPolicy::new(
         (0..mdp.n_states())
             .map(|s| {
                 mdp.legal_actions(s)
@@ -269,8 +301,41 @@ pub fn policy_iteration(mdp: &Mdp, cost: &[f64], discount: f64) -> Result<Soluti
             })
             .collect(),
     );
+    policy_iteration_from(mdp, cost, discount, &myopic)
+}
+
+/// Howard policy iteration from `start`: exact evaluation + greedy
+/// improvement until the greedy policy of the current values is the
+/// current policy.
+///
+/// Terminates in finitely many steps for discounted problems; typically a
+/// handful of iterations even for hundreds of states, and fewer when
+/// `start` is near the optimum. All evaluations share one matrix buffer.
+///
+/// # Errors
+///
+/// Returns [`MdpError::BadDiscount`], [`MdpError::SingularSystem`], or
+/// [`MdpError::NoConvergence`] (iteration cap `10_000`).
+///
+/// # Panics
+///
+/// Panics if `cost.len() != n_states * n_actions`, if `start` covers a
+/// different number of states, or if it picks an illegal action.
+pub fn policy_iteration_from(
+    mdp: &Mdp,
+    cost: &[f64],
+    discount: f64,
+    start: &DeterministicPolicy,
+) -> Result<Solution, MdpError> {
+    check_discount(discount)?;
+    check_cost(mdp, cost);
+    assert_eq!(start.n_states(), mdp.n_states(), "policy size mismatch");
+    let n = mdp.n_states();
+    let mut system = Matrix::zeros(n, n);
+    let mut policy = start.clone();
     for it in 1..=10_000 {
-        let values = evaluate_policy_discounted(mdp, cost, &policy, discount)?;
+        let mut values = vec![0.0; n];
+        solve_policy_system(mdp, cost, &policy, discount, &mut system, &mut values)?;
         let improved = greedy_policy(mdp, cost, &values, discount);
         if improved == policy {
             return Ok(Solution {
@@ -449,6 +514,41 @@ mod tests {
             assert!((a - b).abs() < 1e-6);
         }
         assert!(pi.iterations <= 5, "pi took {} iterations", pi.iterations);
+    }
+
+    #[test]
+    fn policy_iteration_from_any_start_reaches_the_cold_optimum() {
+        // Every action is legal in a sampled MDP.
+        let m = crate::sample::random_mdp(12, 3, 4, 7).unwrap();
+        let cost = m.combined_cost(CostWeights::default());
+        let cold = policy_iteration(&m, &cost, 0.9).unwrap();
+        for a in 0..3 {
+            let start = DeterministicPolicy::new(vec![a; 12]);
+            let warm = policy_iteration_from(&m, &cost, 0.9, &start).unwrap();
+            assert_eq!(warm.policy, cold.policy);
+            assert_eq!(warm.values, cold.values);
+        }
+        let at_optimum = policy_iteration_from(&m, &cost, 0.9, &cold.policy).unwrap();
+        assert_eq!(at_optimum.iterations, 1);
+        assert_eq!(
+            at_optimum,
+            Solution {
+                iterations: 1,
+                ..cold
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "policy picks illegal action")]
+    fn policy_iteration_from_rejects_an_illegal_start() {
+        let mut b = Mdp::builder(2, 2).unwrap();
+        b.set_action(0, 0, vec![(0, 1.0)], 1.0, 0.0);
+        b.set_action(0, 1, vec![(1, 1.0)], 5.0, 0.0);
+        b.set_action(1, 0, vec![(1, 1.0)], 0.0, 0.0);
+        let m = b.build().unwrap();
+        let cost = toy_cost(&m);
+        let _ = policy_iteration_from(&m, &cost, 0.9, &DeterministicPolicy::new(vec![0, 1]));
     }
 
     #[test]

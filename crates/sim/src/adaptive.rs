@@ -15,6 +15,15 @@
 //! slices after a detected switch the stale policy keeps running, which is
 //! precisely the lag Fig. 2 visualizes. Real wall-clock solve time is also
 //! accumulated for the T1/T3 overhead tables.
+//!
+//! Only the initial solve in [`ModelBasedAdaptive::new`] starts cold. With
+//! [`AdaptiveSolver::PolicyIteration`], every re-solve starts from the
+//! installed policy: the compiled state space does not depend on the
+//! arrival rate, so that policy indexes the new model too, and the
+//! optimum of the previous estimate is usually a few improvements from
+//! the new one. Warm and cold starts install the same policy (a test
+//! checks every rate the default estimator window can produce), so the
+//! warm start changes the solve time and nothing the simulation does.
 
 use std::time::{Duration, Instant};
 
@@ -23,8 +32,8 @@ use rand::Rng;
 use qdpm_core::{Observation, PowerManager, RewardWeights, StepOutcome};
 use qdpm_device::{PowerModel, PowerStateId, ServiceModel};
 use qdpm_mdp::{
-    build_dpm_mdp, lp::lp_solve_discounted, solvers, CostWeights, DeterministicPolicy,
-    DpmStateSpace,
+    build_dpm_mdp, lp::lp_solve_discounted, solvers, CostWeights, DeterministicPolicy, DpmModel,
+    DpmStateSpace, Mdp,
 };
 use qdpm_workload::{MarkovArrivalModel, PageHinkley, RateEstimator};
 
@@ -33,7 +42,9 @@ use crate::SimError;
 /// Which exact optimizer the pipeline re-runs after a detected switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptiveSolver {
-    /// Howard policy iteration (the fast exact choice).
+    /// Howard policy iteration (the fast exact choice). Re-solves start
+    /// from the installed policy; only the initial solve starts from the
+    /// myopic policy.
     PolicyIteration,
     /// Value iteration to tolerance `1e-9`.
     ValueIteration,
@@ -129,13 +140,14 @@ impl ModelBasedAdaptive {
                 "estimator window must be positive".into(),
             ));
         }
-        let (space, policy, _) = solve_for_rate(power, service, &config, config.initial_rate)?;
+        let (model, cost) = compile_for_rate(power, service, &config, config.initial_rate)?;
+        let policy = solve(&model.mdp, &cost, &config, None)?;
         Ok(ModelBasedAdaptive {
             power: power.clone(),
             service: *service,
             estimator: RateEstimator::new(config.estimator_window),
             detector: PageHinkley::new(config.ph_delta, config.ph_threshold),
-            space,
+            space: model.space,
             policy,
             resolve_countdown: None,
             n_resolves: 0,
@@ -162,29 +174,33 @@ impl ModelBasedAdaptive {
     fn finish_resolve(&mut self) {
         let rate = self.estimator.estimate().clamp(self.config.min_rate, 1.0);
         let started = Instant::now();
-        match solve_for_rate(&self.power, &self.service, &self.config, rate) {
-            Ok((space, policy, _)) => {
-                self.space = space;
-                self.policy = policy;
-                self.last_estimate = rate;
-                self.n_resolves += 1;
-            }
-            Err(_) => {
-                // Keep the stale policy; a later alarm will retry. This can
-                // only happen on a numerically degenerate estimate.
-            }
+        let solved = compile_for_rate(&self.power, &self.service, &self.config, rate).and_then(
+            |(model, cost)| {
+                assert_eq!(
+                    model.space, self.space,
+                    "the compiled state space must not depend on the arrival rate"
+                );
+                solve(&model.mdp, &cost, &self.config, Some(&self.policy))
+            },
+        );
+        // On an error, keep the stale policy; a later alarm will retry. This
+        // can only happen on a numerically degenerate estimate.
+        if let Ok(policy) = solved {
+            self.policy = policy;
+            self.last_estimate = rate;
+            self.n_resolves += 1;
         }
         self.solve_wall_time += started.elapsed();
     }
 }
 
-/// Compiles and solves the DTMDP for a Bernoulli rate estimate.
-fn solve_for_rate(
+/// Compiles the DTMDP for a Bernoulli rate estimate and its scalar cost.
+fn compile_for_rate(
     power: &PowerModel,
     service: &ServiceModel,
     config: &AdaptiveConfig,
     rate: f64,
-) -> Result<(DpmStateSpace, DeterministicPolicy, f64), SimError> {
+) -> Result<(DpmModel, Vec<f64>), SimError> {
     let arrivals =
         MarkovArrivalModel::bernoulli(rate.clamp(0.0, 1.0)).map_err(SimError::Workload)?;
     let model = build_dpm_mdp(
@@ -197,27 +213,35 @@ fn solve_for_rate(
     let cost = model.mdp.combined_cost(
         CostWeights::new(config.weights.energy, config.weights.perf).map_err(SimError::Mdp)?,
     );
-    let (policy, objective) = match config.solver {
+    Ok((model, cost))
+}
+
+/// Runs the configured optimizer on a compiled model. Policy iteration
+/// starts from `start` when given; the other solvers ignore it.
+fn solve(
+    mdp: &Mdp,
+    cost: &[f64],
+    config: &AdaptiveConfig,
+    start: Option<&DeterministicPolicy>,
+) -> Result<DeterministicPolicy, SimError> {
+    Ok(match config.solver {
         AdaptiveSolver::PolicyIteration => {
-            let sol = solvers::policy_iteration(&model.mdp, &cost, config.discount)?;
-            let mean = sol.values.iter().sum::<f64>() / sol.values.len() as f64;
-            (sol.policy, mean)
+            match start {
+                Some(start) => solvers::policy_iteration_from(mdp, cost, config.discount, start)?,
+                None => solvers::policy_iteration(mdp, cost, config.discount)?,
+            }
+            .policy
         }
         AdaptiveSolver::ValueIteration => {
-            let sol = solvers::value_iteration(
-                &model.mdp,
-                &cost,
+            solvers::value_iteration(
+                mdp,
+                cost,
                 solvers::SolveOptions::with_discount(config.discount).map_err(SimError::Mdp)?,
-            )?;
-            let mean = sol.values.iter().sum::<f64>() / sol.values.len() as f64;
-            (sol.policy, mean)
+            )?
+            .policy
         }
-        AdaptiveSolver::Lp => {
-            let sol = lp_solve_discounted(&model.mdp, &cost, config.discount)?;
-            (sol.policy, sol.objective)
-        }
-    };
-    Ok((model.space, policy, objective))
+        AdaptiveSolver::Lp => lp_solve_discounted(mdp, cost, config.discount)?.policy,
+    })
 }
 
 impl PowerManager for ModelBasedAdaptive {
@@ -351,6 +375,99 @@ mod tests {
         feed(&mut pm, 1, 200); // alarm fires, but delay is 1000
         assert!(pm.resolving(), "re-solve should still be pending");
         assert_eq!(pm.n_resolves, 0);
+    }
+
+    /// Every estimate a full window of `window` slices can produce,
+    /// clamped as `finish_resolve` clamps it, deduplicated.
+    fn window_rates(config: &AdaptiveConfig) -> Vec<f64> {
+        let window = config.estimator_window;
+        let mut rates: Vec<f64> = (0..=window)
+            .map(|k| (k as f64 / window as f64).clamp(config.min_rate, 1.0))
+            .collect();
+        rates.dedup();
+        rates
+    }
+
+    fn value_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn warm_started_policy_iteration_matches_cold_at_every_window_rate() {
+        let power = presets::three_state_generic();
+        let service = presets::default_service();
+        let config = AdaptiveConfig {
+            queue_cap: 8,
+            ..AdaptiveConfig::default()
+        };
+        let models: Vec<_> = window_rates(&config)
+            .into_iter()
+            .map(|rate| compile_for_rate(&power, &service, &config, rate).unwrap())
+            .collect();
+        assert_eq!(models.len(), config.estimator_window);
+        let cold: Vec<_> = models
+            .iter()
+            .map(|(model, cost)| {
+                solvers::policy_iteration(&model.mdp, cost, config.discount).unwrap()
+            })
+            .collect();
+        let mut starts: Vec<&DeterministicPolicy> = Vec::new();
+        for sol in &cold {
+            if !starts.contains(&&sol.policy) {
+                starts.push(&sol.policy);
+            }
+        }
+        assert!(starts.len() > 5, "only {} distinct optima", starts.len());
+        for ((model, cost), cold) in models.iter().zip(&cold) {
+            for &start in &starts {
+                let warm = solvers::policy_iteration_from(&model.mdp, cost, config.discount, start)
+                    .unwrap();
+                assert_eq!(warm.policy, cold.policy);
+                assert_eq!(value_bits(&warm.values), value_bits(&cold.values));
+                if start == &cold.policy {
+                    assert_eq!(
+                        warm.iterations, 1,
+                        "a warm start at the optimum stops at once"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_resolve_installs_the_cold_optimum_of_its_estimate() {
+        let power = presets::three_state_generic();
+        let service = presets::default_service();
+        let config = AdaptiveConfig {
+            optimization_delay: 50,
+            ..AdaptiveConfig::default()
+        };
+        let mut pm = ModelBasedAdaptive::new(&power, &service, config.clone()).unwrap();
+        // A scripted drift: an arrival every `period` slices, phase by phase.
+        let mut checked = 0;
+        for period in [50, 4, 20, 2, 100, 3, 7, 1, 40] {
+            for t in 0..4_000u32 {
+                let arrivals = u32::from(t % period == 0);
+                let outcome = StepOutcome {
+                    energy: 1.0,
+                    queue_len: 0,
+                    dropped: 0,
+                    completed: 0,
+                    arrivals,
+                    deadline_misses: 0,
+                };
+                let before = pm.n_resolves;
+                pm.observe(&outcome, &obs(&power, 0));
+                if pm.n_resolves > before {
+                    let (model, cost) =
+                        compile_for_rate(&power, &service, &config, pm.last_estimate()).unwrap();
+                    assert_eq!(pm.policy, solve(&model.mdp, &cost, &config, None).unwrap());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 5, "only {checked} re-solves");
+        assert_eq!(checked, pm.n_resolves);
     }
 
     #[test]
