@@ -1592,7 +1592,9 @@ mod tests {
             assert!(reference.fleet.stats.total.arrivals > 0);
             if cfg.faults.is_some() {
                 assert!(reference.fleet.stats.availability.faults_injected > 0);
-                assert!(reference.vetoed_wakeups + reference.shed_arrivals > 0);
+                // Vetoes in the parallel remainders run the budget's
+                // concurrent veto counter, not only the serial grant path.
+                assert!(reference.vetoed_wakeups > 0);
             }
             for fixed in [2, 3, 8] {
                 let (report, saved, workers) = drive(&|_| fixed);
@@ -1604,6 +1606,73 @@ mod tests {
             assert_eq!(reference, report, "{name}: changing thread count");
             assert!(bytes == saved, "{name}: changing thread count");
         }
+    }
+
+    /// FNV-1a-64, the checksum the serve checkpoint container uses.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A capped, faulted, join-shortest-queue rack's checkpoint bytes are
+    /// pinned at six points of one run: four evenly spaced arrival
+    /// slices, the first one with a retry batch still in backoff, and the
+    /// first one right after a two-thread gap remainder that vetoed
+    /// wakeups. The budget's representation and the rack's scratch
+    /// buffers are not checkpoint state, so changing them must not move a
+    /// byte.
+    #[test]
+    fn rack_checkpoint_bytes_are_pinned() {
+        let mut spec = rack(6, Some(3.2));
+        spec.members[1].policy = FleetPolicy::QDpm(QDpmConfig::default());
+        spec.members[3].policy = FleetPolicy::AdaptiveTimeout;
+        spec.members[4].policy = FleetPolicy::QDpm(QDpmConfig::default());
+        let cfg = FleetConfig {
+            faults: Some(qdpm_workload::FaultInjector {
+                crash_rate: 0.003,
+                crash_down: 40,
+                ..qdpm_workload::FaultInjector::default()
+            }),
+            ..config(3_000, DispatchPolicy::JoinShortestQueue)
+        };
+        let events = materialize_events(&bernoulli(0.2), cfg.seed, cfg.horizon).unwrap();
+        let stride = events.len() / 4;
+        let mut rack = RackCoordinator::new(&spec, &cfg).unwrap();
+        let mut now = 0;
+        let (mut saw_retry, mut saw_gap_veto) = (false, false);
+        let mut pins = Vec::new();
+        for (i, &(slice, count)) in events.iter().enumerate() {
+            // The grant slice the previous arrivals left pending, then the
+            // remainder of the gap on the two-thread pool.
+            let gap = slice - now;
+            rack.advance_gap(gap.min(1), 2);
+            let before = rack.report().vetoed_wakeups;
+            rack.advance_gap(gap - gap.min(1), 2);
+            let gap_veto = rack.report().vetoed_wakeups > before;
+            rack.arrival_slice(count);
+            now = slice + 1;
+            let retry = rack.report().fleet.stats.availability.retry_pending > 0;
+            let first_retry = retry && !saw_retry;
+            let first_gap_veto = gap_veto && !saw_gap_veto;
+            saw_retry |= retry;
+            saw_gap_veto |= gap_veto;
+            if first_retry || first_gap_veto || (i + 1) % stride == 0 {
+                let mut w = StateWriter::new();
+                rack.save_state(&mut w);
+                pins.push((now, fnv1a64(&w.into_bytes())));
+            }
+        }
+        assert!(saw_retry && saw_gap_veto, "retry={saw_retry} gap veto={saw_gap_veto}");
+        let pinned: [(Step, u64); 6] = [
+            (7, 0x5c3a_94a1_2c6a_360d),
+            (279, 0xc1f2_9e4c_68cb_9b1a),
+            (771, 0x4359_c788_9458_325d),
+            (1522, 0xf255_43c4_2472_2e2e),
+            (2227, 0x797f_4f68_0338_1234),
+            (2995, 0x9e1b_548b_2013_fe37),
+        ];
+        assert_eq!(pins, pinned, "checkpoint hashes moved");
     }
 
     #[test]
