@@ -61,6 +61,17 @@
 //! arbitration has one defined order at any thread count. Between grant
 //! slices a device only ever reads and writes its own budget slot, so
 //! gap-slice parallelism cannot reorder budget decisions.
+//!
+//! The budget is lock-free: one atomic slot per member holding its
+//! nominal's `f64` bits, an atomic grant marker naming the one member a
+//! grant slice lets grow (closed everywhere else) and an atomic veto
+//! counter, all accessed with `Relaxed` ordering. That is enough because
+//! of the schedule above: grant slices run serially on the coordinator's
+//! thread, a parallel gap member touches only its own slot (and adds to
+//! the counter), and the [`ShardPool`]'s channel hand-off orders one phase
+//! before the next. The serial path allocates nothing in steady state:
+//! routing snapshots, pre-routing availability and the wake plan's
+//! nominals live in buffers the rack owns (`tests/zero_alloc_rack.rs`).
 //! Engine modes stay *exact*: grant and arrival slices execute as ordinary
 //! slices in both modes, and a quiescent device whose manager would act
 //! (and could therefore touch the budget) declines to commit the stretch,
@@ -69,7 +80,8 @@
 //! engine-mode equality, thread-count invariance, and the per-slice cap
 //! invariant on randomized racks.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -215,23 +227,70 @@ pub struct RackSpec {
     pub power_cap: Option<f64>,
 }
 
+/// The grant marker's value when no member may grow its nominal.
+const GRANT_CLOSED: usize = usize::MAX;
+
 /// The rack-wide command budget shared by the wrapped power managers.
+///
+/// Lock-free: each member's nominal is one `AtomicU64` slot holding the
+/// `f64`'s bits, the grant marker is an `AtomicUsize` ([`GRANT_CLOSED`]
+/// between grant slices) and vetoes count on an `AtomicU64`. Every access
+/// is `Relaxed`, which suffices because no two threads ever race on a
+/// value whose order matters:
+///
+/// * grant slices, the only place a member reads *other* members' slots
+///   or the marker is open, are stepped serially on the coordinator's
+///   thread, so their loads and stores are in program order;
+/// * in a parallel gap remainder the marker is closed, a member reads and
+///   writes only its own slot, and the shared veto counter only takes
+///   `fetch_add`s, whose sum does not depend on their order;
+/// * the phases are ordered by [`ShardPool`]'s channel hand-off: a
+///   channel send and the receive that takes its message are a
+///   release/acquire pair, both when a shard goes to a worker and when
+///   it comes back, so each phase sees every store of the one before.
 #[derive(Debug)]
 struct Budget {
     /// The cap (validated finite and positive).
     cap: f64,
-    /// Per-device bound on the slice draw; `Σ nominal <= cap` always.
-    nominal: Vec<f64>,
+    /// Per-device bound on the slice draw, as `f64` bits;
+    /// `Σ nominal <= cap` always.
+    nominal: Box<[AtomicU64]>,
     /// Device index currently allowed to *grow* its nominal (set only
-    /// while the coordinator serially steps a grant slice).
-    grant_open: Option<usize>,
+    /// while the coordinator serially steps a grant slice), or
+    /// [`GRANT_CLOSED`].
+    grant: AtomicUsize,
     /// Commands refused for lack of budget.
-    vetoed: u64,
+    vetoed: AtomicU64,
 }
 
 impl Budget {
+    fn new(cap: f64, nominal: &[f64]) -> Self {
+        Budget {
+            cap,
+            nominal: nominal
+                .iter()
+                .map(|n| AtomicU64::new(n.to_bits()))
+                .collect(),
+            grant: AtomicUsize::new(GRANT_CLOSED),
+            vetoed: AtomicU64::new(0),
+        }
+    }
+
+    fn nominal(&self, i: usize) -> f64 {
+        f64::from_bits(self.nominal[i].load(Relaxed))
+    }
+
+    fn set_nominal(&self, i: usize, value: f64) {
+        self.nominal[i].store(value.to_bits(), Relaxed);
+    }
+
+    /// `Σ nominal`, summed in device order.
     fn total(&self) -> f64 {
-        self.nominal.iter().sum()
+        (0..self.nominal.len()).map(|i| self.nominal(i)).sum()
+    }
+
+    fn grant_closed(&self) -> bool {
+        self.grant.load(Relaxed) == GRANT_CLOSED
     }
 }
 
@@ -265,6 +324,28 @@ fn mode_demand(model: &PowerModel, mode: DeviceMode) -> f64 {
     }
 }
 
+/// A member's live snapshot for the dispatcher (a transitioning device
+/// counts as `waking` when its transition lands in a serving state; a down
+/// device is flagged so health-aware policies route around it).
+fn device_snapshot(sim: &Simulator, model: &PowerModel) -> DeviceSnapshot {
+    let obs = sim.observation();
+    let down = sim.health() == DeviceHealth::Down;
+    match obs.device_mode {
+        DeviceMode::Operational(s) => DeviceSnapshot {
+            queue_len: obs.queue_len,
+            awake: model.state(s).can_serve,
+            waking: false,
+            down,
+        },
+        DeviceMode::Transitioning { to, .. } => DeviceSnapshot {
+            queue_len: obs.queue_len,
+            awake: false,
+            waking: model.state(to).can_serve,
+            down,
+        },
+    }
+}
+
 /// A [`PowerManager`] decorator that submits every state-changing command
 /// of the wrapped manager to the rack [`Budget`] and holds the current
 /// state when the budget refuses (see the [module docs](self)).
@@ -273,7 +354,7 @@ struct CappedPolicy {
     inner: Box<dyn PowerManager>,
     index: usize,
     model: PowerModel,
-    budget: Arc<Mutex<Budget>>,
+    budget: Arc<Budget>,
 }
 
 impl PowerManager for CappedPolicy {
@@ -292,22 +373,23 @@ impl PowerManager for CappedPolicy {
         let Some(demand) = command_demand(&self.model, current, target) else {
             return target; // no such edge: the device ignores it anyway
         };
-        let mut b = self.budget.lock().expect("rack budget poisoned");
-        if demand <= b.nominal[self.index] + CAP_EPS {
+        let b = &*self.budget;
+        let own = b.nominal(self.index);
+        if demand <= own + CAP_EPS {
             // Fits the device's own slot: always allowed, and the slot
             // shrinks to the new bound (own-slot only, so gap-slice
             // parallelism cannot reorder budget decisions).
-            b.nominal[self.index] = demand;
+            b.set_nominal(self.index, demand);
             return target;
         }
-        if b.grant_open == Some(self.index) {
-            let others = b.total() - b.nominal[self.index];
+        if b.grant.load(Relaxed) == self.index {
+            let others = b.total() - own;
             if others + demand <= b.cap + CAP_EPS {
-                b.nominal[self.index] = demand;
+                b.set_nominal(self.index, demand);
                 return target;
             }
         }
-        b.vetoed += 1;
+        b.vetoed.fetch_add(1, Relaxed);
         current
     }
 
@@ -416,7 +498,7 @@ pub struct RackCoordinator {
     labels: Vec<String>,
     n_states: usize,
     dispatcher: WorkloadDispatcher,
-    budget: Option<Arc<Mutex<Budget>>>,
+    budget: Option<Arc<Budget>>,
     /// Whether the slice after the last grant slice still needs granting
     /// (wake decisions react to arrivals one slice later).
     grant_pending: bool,
@@ -426,6 +508,12 @@ pub struct RackCoordinator {
     seed: u64,
     /// Reused per-slice assignment buffer.
     assign: Vec<u32>,
+    /// Reused per-device snapshot buffer (routing and retry targeting).
+    snaps: Vec<DeviceSnapshot>,
+    /// Reused per-device availability before an arrival slice's routing.
+    pre_available: Vec<bool>,
+    /// Reused per-device nominals of an arrival slice's wake plan.
+    planned: Vec<f64>,
     /// Per-device lowest-state draw (the budget floor a down member keeps
     /// reserved so its revival slice is always affordable).
     floors: Vec<f64>,
@@ -495,12 +583,7 @@ impl RackCoordinator {
                         spec.label
                     )));
                 }
-                Some(Arc::new(Mutex::new(Budget {
-                    cap,
-                    nominal: floor,
-                    grant_open: None,
-                    vetoed: 0,
-                })))
+                Some(Arc::new(Budget::new(cap, &floor)))
             }
         };
 
@@ -557,6 +640,9 @@ impl RackCoordinator {
                 .max()
                 .unwrap_or(0),
             assign: vec![0; sims.len()],
+            snaps: Vec::with_capacity(sims.len()),
+            pre_available: Vec::with_capacity(sims.len()),
+            planned: Vec::with_capacity(sims.len()),
             floors: spec
                 .members
                 .iter()
@@ -599,33 +685,15 @@ impl RackCoordinator {
         self.has_shared
     }
 
-    /// Live per-device snapshots for the dispatcher (a transitioning
-    /// device counts as `waking` when its transition lands in a serving
-    /// state; a down device is flagged so health-aware policies route
-    /// around it).
-    fn snapshots(&self) -> Vec<DeviceSnapshot> {
-        self.sims
-            .iter()
-            .zip(&self.models)
-            .map(|(sim, model)| {
-                let obs = sim.observation();
-                let down = sim.health() == DeviceHealth::Down;
-                match obs.device_mode {
-                    DeviceMode::Operational(s) => DeviceSnapshot {
-                        queue_len: obs.queue_len,
-                        awake: model.state(s).can_serve,
-                        waking: false,
-                        down,
-                    },
-                    DeviceMode::Transitioning { to, .. } => DeviceSnapshot {
-                        queue_len: obs.queue_len,
-                        awake: false,
-                        waking: model.state(to).can_serve,
-                        down,
-                    },
-                }
-            })
-            .collect()
+    /// Refills `snaps` with every member's live [`device_snapshot`].
+    fn fill_snapshots(&mut self) {
+        self.snaps.clear();
+        self.snaps.extend(
+            self.sims
+                .iter()
+                .zip(&self.models)
+                .map(|(sim, model)| device_snapshot(sim, model)),
+        );
     }
 
     /// One rack-level snapshot for the cluster dispatcher: summed queue
@@ -638,7 +706,8 @@ impl RackCoordinator {
             waking: false,
             down: true,
         };
-        for s in self.snapshots() {
+        for (sim, model) in self.sims.iter().zip(&self.models) {
+            let s = device_snapshot(sim, model);
             agg.queue_len += s.queue_len;
             agg.awake |= s.awake && !s.down;
             agg.waking |= s.waking && !s.down;
@@ -665,18 +734,20 @@ impl RackCoordinator {
     /// revived sleeper its old active-state slot for free.
     fn refresh_nominals(&mut self) {
         let Some(budget) = &self.budget else { return };
-        let mut b = budget.lock().expect("rack budget poisoned");
-        for (i, sim) in self.sims.iter().enumerate() {
-            b.nominal[i] = if let Some(power) = self.onset_draw[i].take() {
-                power.max(self.floors[i])
-            } else if sim.pending_revival() {
-                self.floors[i]
-            } else {
-                match sim.fault_down_power() {
-                    Some(power) => power.max(self.floors[i]),
-                    None => mode_demand(&self.models[i], sim.observation().device_mode),
-                }
-            };
+        for (i, (sim, onset)) in self.sims.iter().zip(&mut self.onset_draw).enumerate() {
+            budget.set_nominal(
+                i,
+                if let Some(power) = onset.take() {
+                    power.max(self.floors[i])
+                } else if sim.pending_revival() {
+                    self.floors[i]
+                } else {
+                    match sim.fault_down_power() {
+                        Some(power) => power.max(self.floors[i]),
+                        None => mode_demand(&self.models[i], sim.observation().device_mode),
+                    }
+                },
+            );
         }
     }
 
@@ -723,7 +794,8 @@ impl RackCoordinator {
             }
         }
         while let Some(job) = self.retry.pop_ready(self.now) {
-            let snaps = self.snapshots();
+            self.fill_snapshots();
+            let snaps = &self.snaps;
             let healthy = |i: &usize| !snaps[*i].down;
             let target = (0..snaps.len())
                 .filter(|&i| snaps[i].available())
@@ -767,13 +839,13 @@ impl RackCoordinator {
     /// order, opening the budget for exactly one device at a time.
     fn grant_step_all(&mut self) -> f64 {
         self.refresh_nominals();
-        let budget = Arc::clone(self.budget.as_ref().expect("grant slices need a cap"));
+        let budget = self.budget.as_ref().expect("grant slices need a cap");
         let mut energy = 0.0;
         for (i, sim) in self.sims.iter_mut().enumerate() {
-            budget.lock().expect("rack budget poisoned").grant_open = Some(i);
+            budget.grant.store(i, Relaxed);
             energy += sim.step().energy;
         }
-        budget.lock().expect("rack budget poisoned").grant_open = None;
+        budget.grant.store(GRANT_CLOSED, Relaxed);
         energy
     }
 
@@ -786,7 +858,8 @@ impl RackCoordinator {
     /// budget-aware load shedding, and injection into the chosen members'
     /// simulators.
     fn prepare_arrivals(&mut self, count: u32) {
-        let mut snaps = self.snapshots();
+        self.fill_snapshots();
+        let snaps = &mut self.snaps;
         if snaps.iter().all(|s| s.down) {
             // Nothing can absorb the slice: shed it with a typed reason
             // ([`qdpm_workload::ShedReason::NoHealthyDevice`]) rather
@@ -795,9 +868,10 @@ impl RackCoordinator {
             self.assign.iter_mut().for_each(|a| *a = 0);
             return;
         }
-        let pre_available: Vec<bool> = snaps.iter().map(DeviceSnapshot::available).collect();
-        self.dispatcher
-            .route_slice(count, &mut snaps, &mut self.assign);
+        let pre_available = &mut self.pre_available;
+        pre_available.clear();
+        pre_available.extend(snaps.iter().map(DeviceSnapshot::available));
+        self.dispatcher.route_slice(count, snaps, &mut self.assign);
 
         // State-blind policies route without reading snapshots: strip
         // their assignments off down members onto the least-loaded
@@ -819,9 +893,9 @@ impl RackCoordinator {
             // Shed arrivals aimed at sleepers the budget cannot wake: a
             // planning pass over the nominals, reserving each affordable
             // wake so one slice's wakes are budgeted jointly.
-            let b = budget.lock().expect("rack budget poisoned");
-            let mut planned = b.nominal.clone();
-            drop(b);
+            let planned = &mut self.planned;
+            planned.clear();
+            planned.extend((0..self.assign.len()).map(|i| budget.nominal(i)));
             for i in 0..self.assign.len() {
                 if self.assign[i] == 0 || pre_available[i] {
                     continue;
@@ -834,8 +908,7 @@ impl RackCoordinator {
                 let demand = command_demand(model, from, model.serving_state())
                     .unwrap_or_else(|| model.state(model.serving_state()).power);
                 let others: f64 = planned.iter().sum::<f64>() - planned[i];
-                let cap = budget.lock().expect("rack budget poisoned").cap;
-                if others + demand <= cap + CAP_EPS {
+                if others + demand <= budget.cap + CAP_EPS {
                     planned[i] = planned[i].max(demand);
                     continue;
                 }
@@ -924,6 +997,10 @@ impl RackCoordinator {
             }
             self.grant_pending = false;
             if left > 0 {
+                debug_assert!(
+                    self.budget.as_ref().is_none_or(|b| b.grant_closed()),
+                    "gap remainders must run with the grant marker closed"
+                );
                 self.gap_pool.run(&mut self.sims, threads, move |_, sim| {
                     sim.run(left);
                 });
@@ -954,20 +1031,14 @@ impl RackCoordinator {
         }
         RackReport {
             label: self.label.clone(),
-            power_cap: self
-                .budget
-                .as_ref()
-                .map(|b| b.lock().expect("rack budget poisoned").cap),
+            power_cap: self.budget.as_ref().map(|b| b.cap),
             fleet: FleetReport {
                 labels: self.labels.clone(),
                 per_device,
                 final_modes,
                 stats,
             },
-            vetoed_wakeups: self
-                .budget
-                .as_ref()
-                .map_or(0, |b| b.lock().expect("rack budget poisoned").vetoed),
+            vetoed_wakeups: self.budget.as_ref().map_or(0, |b| b.vetoed.load(Relaxed)),
             shed_arrivals: self.shed,
             health: self.sims.iter().map(Simulator::health).collect(),
         }
@@ -980,8 +1051,8 @@ impl RackCoordinator {
     /// the fault-barrier cursor, and the retry queue — to a payload.
     ///
     /// Must be called *between* slices (never mid-grant); the budget's
-    /// transient `grant_open` marker is always clear there and is not
-    /// persisted.
+    /// transient grant marker is always closed there and is not
+    /// persisted ([`RackCoordinator::load_state`] closes it).
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_usize(self.sims.len());
         for sim in &self.sims {
@@ -991,13 +1062,12 @@ impl RackCoordinator {
         match &self.budget {
             None => w.put_bool(false),
             Some(budget) => {
-                let b = budget.lock().expect("rack budget poisoned");
                 w.put_bool(true);
-                w.put_usize(b.nominal.len());
-                for &n in &b.nominal {
-                    w.put_f64(n);
+                w.put_usize(budget.nominal.len());
+                for i in 0..budget.nominal.len() {
+                    w.put_f64(budget.nominal(i));
                 }
-                w.put_u64(b.vetoed);
+                w.put_u64(budget.vetoed.load(Relaxed));
             }
         }
         w.put_bool(self.grant_pending);
@@ -1050,15 +1120,16 @@ impl RackCoordinator {
                 nominal.push(r.get_f64()?);
             }
             let vetoed = r.get_u64()?;
-            let mut b = budget.lock().expect("rack budget poisoned");
-            if nominal.iter().sum::<f64>() > b.cap + CAP_EPS {
+            if nominal.iter().sum::<f64>() > budget.cap + CAP_EPS {
                 return Err(StateError::BadValue(
                     "restored nominals exceed the rack cap".into(),
                 ));
             }
-            b.nominal = nominal;
-            b.vetoed = vetoed;
-            b.grant_open = None;
+            for (i, &n) in nominal.iter().enumerate() {
+                budget.set_nominal(i, n);
+            }
+            budget.vetoed.store(vetoed, Relaxed);
+            budget.grant.store(GRANT_CLOSED, Relaxed);
         }
         self.grant_pending = r.get_bool()?;
         self.shed = r.get_u64()?;
@@ -1619,7 +1690,7 @@ mod tests {
     /// pinned at six points of one run: four evenly spaced arrival
     /// slices, the first one with a retry batch still in backoff, and the
     /// first one right after a two-thread gap remainder that vetoed
-    /// wakeups. The budget's representation and the rack's scratch
+    /// wakeups. The budget's representation and the rack's reused
     /// buffers are not checkpoint state, so changing them must not move a
     /// byte.
     #[test]
@@ -1663,7 +1734,10 @@ mod tests {
                 pins.push((now, fnv1a64(&w.into_bytes())));
             }
         }
-        assert!(saw_retry && saw_gap_veto, "retry={saw_retry} gap veto={saw_gap_veto}");
+        assert!(
+            saw_retry && saw_gap_veto,
+            "retry={saw_retry} gap veto={saw_gap_veto}"
+        );
         let pinned: [(Step, u64); 6] = [
             (7, 0x5c3a_94a1_2c6a_360d),
             (279, 0xc1f2_9e4c_68cb_9b1a),
@@ -1673,6 +1747,30 @@ mod tests {
             (2995, 0x9e1b_548b_2013_fe37),
         ];
         assert_eq!(pins, pinned, "checkpoint hashes moved");
+    }
+
+    /// Restoring a checkpoint closes the budget's grant marker even when
+    /// the rack it lands in had one open, so no member of the resumed rack
+    /// can grow its nominal outside a grant slice.
+    #[test]
+    fn load_state_leaves_the_grant_marker_closed() {
+        let spec = rack(4, Some(3.5));
+        let cfg = config(1_000, DispatchPolicy::JoinShortestQueue);
+        let mut donor = RackCoordinator::new(&spec, &cfg).unwrap();
+        donor.arrival_slice(3);
+        donor.advance_gap(20, 1);
+        let mut w = StateWriter::new();
+        donor.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut resumed = RackCoordinator::new(&spec, &cfg).unwrap();
+        let budget = Arc::clone(resumed.budget.as_ref().unwrap());
+        budget.grant.store(2, Relaxed);
+        resumed.load_state(&mut StateReader::new(&bytes)).unwrap();
+        assert!(budget.grant_closed());
+        let mut w = StateWriter::new();
+        resumed.save_state(&mut w);
+        assert!(w.into_bytes() == bytes, "restored state re-saves unchanged");
     }
 
     #[test]

@@ -144,57 +144,75 @@ impl FaultInjector {
     /// is independent of engine mode, thread count, and every other
     /// device's faults. Onsets start at slice 1 — slice 0 is the
     /// conventional "fleet starts healthy" boundary.
+    ///
+    /// Each candidate slice's uniform is `u = m · 2^-53` for the 53-bit
+    /// integer `m = splitmix64(..) >> 11`, and a fault fires when `u`
+    /// falls below a cumulative threshold `t`. The planner compares `m`
+    /// against the integer threshold `ceil(t · 2^53)` instead, which
+    /// decides every draw exactly as the float compare would: both sides
+    /// of `u < t` are scaled by the same power of two (exact for every
+    /// rate, subnormals included; a product too large for `f64` saturates
+    /// to "always fires", as the float compare does), and for an integer
+    /// `m`, `m < x` holds exactly when `m < ceil(x)`. A slice inside an
+    /// active fault window draws nothing, so the planner jumps over the
+    /// window (`at += max(window, 1)`) instead of visiting its slices.
     #[must_use]
     pub fn plan(&self, n_devices: usize, horizon: u64, seed: u64) -> FaultPlan {
         let crash_t = self.crash_rate;
         let stop_t = crash_t + self.fail_stop_rate;
         let straggle_t = stop_t + self.straggle_rate;
+        let [crash, stop, straggle] = [crash_t, stop_t, straggle_t].map(mantissa_threshold);
+        let down_for = self.crash_down.max(1);
         let mut per_device = Vec::with_capacity(n_devices);
         for device in 0..n_devices {
             let device_seed = splitmix64(seed, device as u64);
             let mut events = Vec::new();
-            if self.is_active() {
-                let mut busy_until = 0u64;
-                for at in 1..horizon {
-                    if at < busy_until {
-                        continue;
-                    }
-                    let word = splitmix64(device_seed, at);
-                    let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                    if u < crash_t {
-                        let down_for = self.crash_down.max(1);
-                        events.push(FaultEvent {
-                            at,
-                            kind: FaultKind::TransientCrash {
-                                down_for,
-                                down_power: self.down_power,
-                            },
-                        });
-                        busy_until = at.saturating_add(down_for);
-                    } else if u < stop_t {
-                        events.push(FaultEvent {
-                            at,
-                            kind: FaultKind::FailStop {
-                                down_power: self.down_power,
-                            },
-                        });
-                        break;
-                    } else if u < straggle_t {
-                        events.push(FaultEvent {
-                            at,
-                            kind: FaultKind::Straggler {
-                                slowdown: self.straggle_slowdown.max(1),
-                                window: self.straggle_window,
-                            },
-                        });
-                        busy_until = at.saturating_add(self.straggle_window);
-                    }
+            // An inactive spec draws nothing: start past the horizon.
+            let mut at = if self.is_active() { 1 } else { horizon };
+            while at < horizon {
+                let m = splitmix64(device_seed, at) >> 11;
+                if m < crash {
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::TransientCrash {
+                            down_for,
+                            down_power: self.down_power,
+                        },
+                    });
+                    at = at.saturating_add(down_for);
+                } else if m < stop {
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::FailStop {
+                            down_power: self.down_power,
+                        },
+                    });
+                    break;
+                } else if m < straggle {
+                    events.push(FaultEvent {
+                        at,
+                        kind: FaultKind::Straggler {
+                            slowdown: self.straggle_slowdown.max(1),
+                            window: self.straggle_window,
+                        },
+                    });
+                    at = at.saturating_add(self.straggle_window.max(1));
+                } else {
+                    at += 1;
                 }
             }
             per_device.push(events);
         }
         FaultPlan { per_device }
     }
+}
+
+/// `ceil(t · 2^53)` as an integer threshold for 53-bit draws: `m < `
+/// this exactly when `m · 2^-53 < t` (see [`FaultInjector::plan`]). The
+/// saturating cast keeps the equivalence at the edges: a NaN or negative
+/// `t` never fires (0), and `t >= 1` always does (at least `2^53`).
+fn mantissa_threshold(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A materialized fault schedule: per-device, slice-sorted fault events.
@@ -408,6 +426,143 @@ impl RetryQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The planner before integer thresholds, verbatim: every slice of
+    /// the horizon visited, a float uniform compared against float
+    /// cumulative thresholds. [`FaultInjector::plan`] must match it event
+    /// for event.
+    fn float_plan(spec: &FaultInjector, n_devices: usize, horizon: u64, seed: u64) -> FaultPlan {
+        let crash_t = spec.crash_rate;
+        let stop_t = crash_t + spec.fail_stop_rate;
+        let straggle_t = stop_t + spec.straggle_rate;
+        let mut per_device = Vec::with_capacity(n_devices);
+        for device in 0..n_devices {
+            let device_seed = splitmix64(seed, device as u64);
+            let mut events = Vec::new();
+            if spec.is_active() {
+                let mut busy_until = 0u64;
+                for at in 1..horizon {
+                    if at < busy_until {
+                        continue;
+                    }
+                    let word = splitmix64(device_seed, at);
+                    let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                    if u < crash_t {
+                        let down_for = spec.crash_down.max(1);
+                        events.push(FaultEvent {
+                            at,
+                            kind: FaultKind::TransientCrash {
+                                down_for,
+                                down_power: spec.down_power,
+                            },
+                        });
+                        busy_until = at.saturating_add(down_for);
+                    } else if u < stop_t {
+                        events.push(FaultEvent {
+                            at,
+                            kind: FaultKind::FailStop {
+                                down_power: spec.down_power,
+                            },
+                        });
+                        break;
+                    } else if u < straggle_t {
+                        events.push(FaultEvent {
+                            at,
+                            kind: FaultKind::Straggler {
+                                slowdown: spec.straggle_slowdown.max(1),
+                                window: spec.straggle_window,
+                            },
+                        });
+                        busy_until = at.saturating_add(spec.straggle_window);
+                    }
+                }
+            }
+            per_device.push(events);
+        }
+        FaultPlan { per_device }
+    }
+
+    /// `2^-53`, the spacing of the planner's uniforms.
+    const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// A rate of the shape `kind` selects, from random `bits`: the edges
+    /// 0 and 1, an exact multiple of `2^-53` or the point halfway between
+    /// two of them, a subnormal, a moderate rate, or a rate just above the
+    /// uniform device 0 draws at slice 1 (`m0 · 2^-53`), so that draw
+    /// lands on the threshold's boundary.
+    fn rate(kind: u64, bits: u64, m0: u64) -> f64 {
+        let k = bits % (1 << 47);
+        match kind {
+            0 => 0.0,
+            1 => 1.0,
+            2 => k as f64 * ULP,
+            3 => (2 * k + 1) as f64 * (ULP / 2.0),
+            4 => f64::from_bits(bits % (1 << 52)).max(f64::from_bits(1)),
+            5 => (bits >> 11) as f64 * ULP * 0.02,
+            // Halfway above the boundary draw where that is representable
+            // (`m0 < 2^52`), exactly on it otherwise.
+            _ if m0 < 1 << 52 => (2 * m0 + 1) as f64 * (ULP / 2.0),
+            _ => m0 as f64 * ULP,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Integer thresholds and window jumps plan exactly what the
+        /// per-slice float loop planned, over seeds, fleet sizes, horizons
+        /// from 0 to 50k, edge-case rates (including three that sum to
+        /// exactly 1) and zero-length fault windows.
+        #[test]
+        fn integer_planner_matches_float_loop(
+            seed in 0u64..u64::MAX,
+            n_devices in 0usize..5,
+            horizon_kind in 0u64..6,
+            horizon_bits in 0u64..50_001,
+            kinds in 0u64..u64::MAX,
+            bits in 0u64..u64::MAX,
+            crash_down in 0u64..4,
+            straggle_window in 0u64..4,
+        ) {
+            let horizon = match horizon_kind {
+                0..=2 => horizon_kind,
+                3 => 3 + horizon_bits % 100,
+                4 => horizon_bits,
+                _ => 50_000,
+            };
+            let m0 = splitmix64(splitmix64(seed, 0), 1) >> 11;
+            let mut word = bits;
+            let mut next_rate = |kind: u64| {
+                word = splitmix64(word, kind);
+                rate(kind, word, m0)
+            };
+            let [crash_rate, fail_stop_rate, straggle_rate] = if kinds % 9 == 0 {
+                // Three dyadic rates that sum to exactly 1.
+                let a = bits % (1 << 20);
+                let b = (bits >> 20) % ((1 << 20) - a + 1);
+                let scale = 1.0 / f64::from(1u32 << 20);
+                [a, b, (1 << 20) - a - b].map(|r| r as f64 * scale)
+            } else {
+                [kinds % 7, (kinds >> 8) % 7, (kinds >> 16) % 7].map(&mut next_rate)
+            };
+            let spec = FaultInjector {
+                crash_rate,
+                // A long downtime now and then, so windows reach past the
+                // horizon.
+                crash_down: if kinds >> 24 & 7 == 0 { 40_000 } else { crash_down * 25 },
+                fail_stop_rate,
+                straggle_rate,
+                straggle_slowdown: 3,
+                straggle_window: straggle_window * 30,
+                down_power: 0.1,
+            };
+            prop_assert_eq!(
+                spec.plan(n_devices, horizon, seed),
+                float_plan(&spec, n_devices, horizon, seed)
+            );
+        }
+    }
 
     fn crashy() -> FaultInjector {
         FaultInjector {
